@@ -10,17 +10,18 @@
 //   * direct   — the no-batching baseline: the producer serves each
 //     arrival itself with a singleton RangeSampler::Query call.
 //   * frontend — the producer submits to a serve::ServeFrontend
-//     micro-batcher (50µs / 256-query window) and the shard worker serves
-//     coalesced QueryBatch calls.
+//     micro-batcher and the shard worker serves coalesced QueryBatch
+//     calls (opportunistic batching: each flush takes whatever queued
+//     during the previous one, up to 256 queries).
 //
 // Latency per query is completion − SCHEDULED arrival (not actual submit),
 // so producers that fall behind pay their backlog in the tail — the
 // honest open-loop measurement. Percentiles come from LatencyHistogram
 // (p50/p99/p999 upper bounds). The expected shape: at low load direct
-// wins p50 (no window wait); as load approaches capacity the baseline's
-// per-query cost saturates the core and its tail explodes, while the
-// frontend's grouped batches (E19 economics) keep the queue bounded —
-// the p99 crossover is the headline (ISSUE 8 acceptance).
+// wins p50 (no queue hop or worker wakeup); as load approaches capacity
+// the baseline's per-query cost saturates the core and its tail
+// explodes, while the frontend's grouped batches (E19 economics) keep
+// the queue bounded — the p99 crossover is the headline.
 //
 // Single-core caveat (as E24): producers and the shard worker timeshare,
 // so absolute qps is not a scaling claim; the direct-vs-frontend tail
@@ -192,7 +193,6 @@ Row RunFrontend(const iqs::ChunkedRangeSampler& sampler,
                 double offered_qps) {
   iqs::serve::ServeOptions options;
   options.max_batch = 256;
-  options.max_delay_ns = 50 * 1000;
   options.seed = 2025;
   iqs::serve::RangeServeFrontend frontend(
       options,
@@ -226,8 +226,8 @@ Row RunFrontend(const iqs::ChunkedRangeSampler& sampler,
   const double elapsed =
       static_cast<double>(iqs::TelemetryNowNs() - base_ns) / 1e9;
 
-  // Latency against the SCHEDULED arrival, like the baseline, so window
-  // wait, queueing, and submit backpressure all land in the same metric.
+  // Latency against the SCHEDULED arrival, like the baseline, so worker
+  // wakeup, queueing, and submit backpressure all land in the same metric.
   std::vector<iqs::LatencyHistogram> latencies(kProducers);
   for (size_t p = 0; p < kProducers; ++p) {
     const Schedule& sched = schedules[p];

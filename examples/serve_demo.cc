@@ -4,7 +4,8 @@
 // serve::KeyServeFrontend (Submit -> ticket), while a writer thread
 // churns the underlying LogarithmicRangeSampler with inserts the whole
 // time. The frontend coalesces the singleton requests into micro-batches
-// (50µs / 64-query window); each flushed batch runs against ONE pinned
+// (each flush takes whatever queued during the previous one, up to 64
+// queries); each flushed batch runs against ONE pinned
 // epoch snapshot (the PR-6 path), so no user ever observes a
 // half-published version — and nobody ever takes a structure-wide lock.
 //
@@ -26,11 +27,11 @@ int main() {
     scores.Insert(seed_rng.NextDouble() * 1000.0, 0.5 + seed_rng.NextDouble());
   }
 
-  // The frontend: one structure shard, micro-batch window of 64 queries
-  // or 50µs, bounded queue with blocking admission (backpressure).
+  // The frontend: one structure shard, flushes of at most 64 queries
+  // (whatever queued during the previous flush), bounded queue with
+  // blocking admission (backpressure).
   iqs::serve::ServeOptions options;
   options.max_batch = 64;
-  options.max_delay_ns = 50 * 1000;
   options.queue_capacity = 1024;
   iqs::serve::KeyServeFrontend frontend(
       options,

@@ -6,13 +6,16 @@
 // layer is built for. The frontend closes that gap: N producer threads
 // call Submit(shard, query, ticket); a per-shard micro-batcher coalesces
 // admitted queries into one canonical QueryBatch(queries, rng, arena,
-// opts, result) call per time-or-size window (flush at max_batch queries
-// or when the oldest waiter has aged max_delay_ns, whichever first), and
-// completes each query's ticket from the batch result. Per-query cost
-// then rides every batch-layer win at once — grouped cover draws (E19),
-// SIMD kernels (E23), and one pinned epoch snapshot per flushed batch
-// (E24: a versioned backend pins inside its QueryBatch, so a whole
-// micro-batch observes one immutable structure version under churn).
+// opts, result) call per flush, and completes each query's ticket from
+// the batch result. Batching is opportunistic: an idle worker flushes the
+// moment a query arrives, and a busy one takes everything that queued up
+// during its previous flush (at most max_batch) as the next batch — so a
+// lone query never waits on a timer, and batches grow with load alone.
+// Per-query cost then rides every batch-layer win at once — grouped
+// cover draws (E19), SIMD kernels (E23), and one pinned epoch snapshot
+// per flushed batch (E24: a versioned backend pins inside its
+// QueryBatch, so a whole micro-batch observes one immutable structure
+// version under churn).
 //
 // Sharding is BY STRUCTURE: shard s has its own queue, its own worker
 // thread, and serves only backend shard s (shard-per-core — e.g. a
@@ -29,7 +32,7 @@
 // pre-routing API working verbatim (workload 0). A flush drains the shard
 // queue in arrival order, then executes one backend batch per workload
 // class present (ascending workload id), so classes micro-batch
-// INDEPENDENTLY while sharing a window. Per-class ServeShardStats ride
+// INDEPENDENTLY while sharing a flush. Per-class ServeShardStats ride
 // alongside the aggregate: WorkloadStats(shard, w) / MergedWorkloadStats.
 // (All workloads of a ServeFrontend share the Query/Sample/Result types —
 // that is what one queue entry can hold; route across type families by
@@ -52,8 +55,8 @@
 // clock, the producers' thread timing, or the other workloads' traffic.
 // Combined with the executor's deterministic parallel mode (BatchOptions,
 // PR 3), the flushed results are byte-identical across
-// batch.num_threads ∈ {1, 2, ...} and across any window configs that
-// produce the same batch boundaries (serve_frontend_test pins both).
+// batch.num_threads ∈ {1, 2, ...} and across any configs that produce
+// the same batch boundaries (serve_frontend_test pins both).
 //
 // Drain/shutdown: Drain() stops admission (in-flight Submit calls — even
 // ones blocked on backpressure — complete kRejected), flushes every
@@ -77,7 +80,6 @@
 #define IQS_SERVE_FRONTEND_H_
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -114,12 +116,9 @@ struct ServeOptions {
   // argument must be < num_shards.
   size_t num_shards = 1;
 
-  // The micro-batch window: a shard flushes when max_batch queries are
-  // pending, or when the OLDEST pending query has waited max_delay_ns —
-  // whichever comes first. max_batch bounds batch latency under load;
-  // max_delay_ns bounds it when traffic is sparse.
+  // Upper bound on one flush: a worker takes at most max_batch queued
+  // queries per backend call, which bounds batch latency under load.
   size_t max_batch = 256;
-  uint64_t max_delay_ns = 50 * 1000;  // 50µs
 
   // Admission control: per-shard queue bound and the full-queue policy.
   size_t queue_capacity = 4096;
@@ -138,8 +137,8 @@ struct ServeOptions {
   // null: with num_threads >= 1 each shard worker owns a private pool
   // (one pool cannot run two shards' batches concurrently). telemetry
   // may be set only when num_shards == 1 (see header comment).
-  // batch.max_batch is the frontend's to set (it stamps the flush window
-  // before every call) — leave it 0, or equal-or-above max_batch.
+  // batch.max_batch is the frontend's to set (it stamps max_batch before
+  // every call) — leave it 0, or equal-or-above max_batch.
   BatchOptions batch;
 };
 
@@ -147,19 +146,16 @@ struct ServeOptions {
 // serve, naming the violated constraint at the construction site instead
 // of failing obscurely inside WorkerLoop:
 //   * num_shards >= 1 — a frontend with no workers completes nothing;
-//   * max_batch >= 1 — a zero-size flush window never flushes;
-//   * max_delay_ns >= 1 — the time half of the window must be able to
-//     expire (0 would spin the worker on an always-elapsed deadline);
-//   * queue_capacity >= max_batch — a queue smaller than the flush window
-//     could never fill a size-triggered batch, silently degrading every
-//     flush to a timer flush (and capacity 0 would admit nothing);
-//   * batch.pool == nullptr and batch.max_batch consistent with the
-//     window (0, or >= max_batch) — the frontend overrides both per
+//   * max_batch >= 1 — a zero-size flush never drains the queue;
+//   * queue_capacity >= max_batch — a queue smaller than max_batch could
+//     never hold a full batch, so the bound would be dead config (and
+//     capacity 0 would admit nothing);
+//   * batch.pool == nullptr and batch.max_batch consistent with
+//     max_batch (0, or >= max_batch) — the frontend overrides both per
 //     flush, so a caller-set value it would contradict is a config bug.
 inline void ValidateServeOptions(const ServeOptions& options) {
   IQS_CHECK(options.num_shards >= 1);
   IQS_CHECK(options.max_batch >= 1);
-  IQS_CHECK(options.max_delay_ns >= 1);
   IQS_CHECK(options.queue_capacity >= options.max_batch);
   IQS_CHECK(options.batch.pool == nullptr);
   IQS_CHECK(options.batch.max_batch == 0 ||
@@ -254,10 +250,9 @@ class ServeFrontend {
     const size_t wdepth = ++st.wpending[workload];
     if (wdepth > ws.queue_depth_hwm) ws.queue_depth_hwm = wdepth;
     st.mu.Unlock();
-    // The worker needs waking on the empty->nonempty edge (it waits for
-    // work) and at the size trigger (it waits out the delay window);
-    // between the two it will flush on its own timer.
-    if (depth == 1 || depth >= opts_.max_batch) st.nonempty.NotifyOne();
+    // The worker only ever sleeps on an empty queue, so only the
+    // empty->nonempty edge needs a wakeup.
+    if (depth == 1) st.nonempty.NotifyOne();
     return true;
   }
 
@@ -351,7 +346,7 @@ class ServeFrontend {
         : wstats(num_workloads), wpending(num_workloads, 0) {}
 
     Mutex mu;
-    CondVar nonempty;  // worker waits for work / triggers
+    CondVar nonempty;  // worker waits for work (or drain)
     CondVar space;     // kBlock producers wait for room
     std::deque<PendingQuery> queue IQS_GUARDED_BY(mu);
     bool stop IQS_GUARDED_BY(mu) = false;
@@ -406,17 +401,8 @@ class ServeFrontend {
     for (;;) {
       while (!(st.stop || !st.queue.empty())) st.nonempty.Wait(&st.mu);
       if (st.queue.empty()) break;  // stop && drained
-      // The coalescing window: sleep until the size trigger, the oldest
-      // waiter's delay expiring, or drain. Only this worker pops, so the
-      // queue cannot shrink (and the oldest entry cannot change) while it
-      // waits here.
-      while (st.queue.size() < opts_.max_batch && !st.stop) {
-        const uint64_t flush_at =
-            st.queue.front().submit_ns + opts_.max_delay_ns;
-        const uint64_t now = TelemetryNowNs();
-        if (now >= flush_at) break;
-        st.nonempty.WaitForNs(&st.mu, flush_at - now);
-      }
+      // No timed wait: the batch is whatever queued up while this worker
+      // was asleep or busy with the previous flush.
       const size_t take = std::min(st.queue.size(), opts_.max_batch);
       flush.clear();
       for (size_t i = 0; i < take; ++i) {

@@ -22,9 +22,10 @@
 //                       exactly why they were shed).
 //   time_in_batch_ns    flush-start → batch completion, one sample per
 //                       executed batch. Queue time vs batch time is the
-//                       window-tuning signal: a healthy window keeps
-//                       p50(time_in_queue) in the same decade as
-//                       time_in_batch.
+//                       saturation signal: until the worker saturates,
+//                       p50(time_in_queue) stays in the same decade as
+//                       time_in_batch (below saturation a query waits
+//                       out at most the flush already running).
 
 #ifndef IQS_SERVE_SERVE_STATS_H_
 #define IQS_SERVE_SERVE_STATS_H_

@@ -14,7 +14,8 @@
 // status the ticket must stay alive and must not be Reset or moved; after
 // Wait() returns (or status() reads a terminal state with acquire
 // semantics, which it does) the samples are safe to read from the
-// submitting thread.
+// submitting thread. With an OnComplete hook armed, only Wait() also
+// waits for the hook to return, so only Wait() makes it safe to Reset.
 //
 // Two completion modes:
 //   * Blocking: the submitter calls Wait() (the original mode).
@@ -75,10 +76,12 @@ class ServeTicket {
   ServeTicket(const ServeTicket&) = delete;
   ServeTicket& operator=(const ServeTicket&) = delete;
 
-  // Blocks until the query reaches a terminal status and returns it.
+  // Blocks until the query reaches a terminal status, and its OnComplete
+  // hook (if armed) has returned, and returns the status.
   ServeStatus Wait() const {
     uint32_t s = state_.load(std::memory_order_acquire);
-    while (s == static_cast<uint32_t>(ServeStatus::kPending)) {
+    while (s == static_cast<uint32_t>(ServeStatus::kPending) ||
+           (s & kHookRunning) != 0) {
       state_.wait(s, std::memory_order_acquire);
       s = state_.load(std::memory_order_acquire);
     }
@@ -87,7 +90,8 @@ class ServeTicket {
 
   // Non-blocking peek; acquire, so a terminal read publishes samples().
   ServeStatus status() const {
-    return static_cast<ServeStatus>(state_.load(std::memory_order_acquire));
+    return static_cast<ServeStatus>(state_.load(std::memory_order_acquire) &
+                                    ~kHookRunning);
   }
 
   // The query's draws; valid once the ticket is terminal with kOk (empty
@@ -132,17 +136,32 @@ class ServeTicket {
   // FRONTEND-INTERNAL: publishes the terminal state, then fires the
   // OnComplete hook (if armed). Exactly-once is enforced — completing a
   // non-pending ticket aborts, so the hook cannot fire twice per submit.
+  // While the hook runs the state carries kHookRunning, which status()
+  // masks and Wait() waits out: a waiter that Resets the ticket as soon
+  // as Wait() returns can never race the hook still reading it.
   void Complete(ServeStatus status, std::span<const Sample> samples,
                 uint64_t complete_ns) {
     IQS_DCHECK(status != ServeStatus::kPending);
     samples_.assign(samples.begin(), samples.end());
     complete_ns_ = complete_ns;
+    // Read before publishing: once a hookless ticket is terminal its owner
+    // may destroy it, so nothing below may touch its fields.
+    const bool hooked = static_cast<bool>(on_complete_);
+    const uint32_t terminal = static_cast<uint32_t>(status);
     uint32_t expected = static_cast<uint32_t>(ServeStatus::kPending);
     IQS_CHECK(state_.compare_exchange_strong(
-        expected, static_cast<uint32_t>(status), std::memory_order_release,
-        std::memory_order_relaxed));
+        expected, hooked ? terminal | kHookRunning : terminal,
+        std::memory_order_release, std::memory_order_relaxed));
+    if (hooked) {
+      on_complete_(*this);
+      // A compare-exchange, not a store: a hook that Reset (and perhaps
+      // resubmitted) its own ticket has already replaced this state.
+      expected = terminal | kHookRunning;
+      state_.compare_exchange_strong(expected, terminal,
+                                     std::memory_order_release,
+                                     std::memory_order_relaxed);
+    }
     state_.notify_all();
-    if (on_complete_) on_complete_(*this);
   }
 
   // FRONTEND-INTERNAL: stamped on admission, before the ticket is queued.
@@ -158,6 +177,7 @@ class ServeTicket {
   std::function<void(const ServeTicket&)> on_complete_;  // armed while idle
   uint64_t submit_ns_ = 0;
   uint64_t complete_ns_ = 0;
+  static constexpr uint32_t kHookRunning = 1u << 31;  // see Complete
   std::atomic<uint32_t> state_{static_cast<uint32_t>(ServeStatus::kPending)};
 };
 

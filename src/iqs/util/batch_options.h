@@ -60,7 +60,7 @@ struct BatchOptions {
   //                handing the batch down; recorded for observability (a
   //                backend may use it to pick cheaper plans, never to
   //                change the law of the samples it does emit).
-  //   max_batch    frontend's micro-batch window size; when nonzero the
+  //   max_batch    frontend's per-flush batch bound; when nonzero the
   //                executors IQS_CHECK num_queries <= max_batch, turning a
   //                mis-wired batcher into an abort instead of a silent
   //                oversized flush.

@@ -40,10 +40,8 @@
 #ifndef IQS_UTIL_THREAD_ANNOTATIONS_H_
 #define IQS_UTIL_THREAD_ANNOTATIONS_H_
 
-#include <chrono>
 // iqs_lint's naked-mutex rule exempts this file: it IS the wrapper.
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 
 #if defined(__clang__)
@@ -149,19 +147,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu->native(), std::adopt_lock);
     cv_.wait(lock);
     lock.release();  // the caller still owns the re-acquired mutex
-  }
-
-  // Timed wait; returns false iff the wait timed out. Spurious wakeups
-  // return true, exactly like std::condition_variable — callers loop on
-  // their predicate either way.
-  bool WaitForNs(Mutex* mu, uint64_t ns) IQS_REQUIRES(mu) {
-    // Adopt/release shim onto std::condition_variable: the unique_lock
-    // borrows the already-held mutex and gives it back untouched.
-    std::unique_lock<std::mutex> lock(mu->native(), std::adopt_lock);
-    const std::cv_status status =
-        cv_.wait_for(lock, std::chrono::nanoseconds(ns));
-    lock.release();
-    return status == std::cv_status::no_timeout;
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -1,6 +1,7 @@
 // Tests for the micro-batching serving frontend (iqs/serve/frontend.h):
-// round-trip correctness, deterministic flushed output across inner
-// thread counts and window configs, drain/shutdown exactly-once
+// round-trip correctness, opportunistic flush sizing (each flush takes
+// what queued during the previous one), deterministic flushed output
+// across inner thread counts and configs, drain/shutdown exactly-once
 // completion, admission control (block and reject), deadline shedding,
 // distribution through the batcher, and a churn stress over the
 // versioned LogarithmicRangeSampler (the TSan target). The serve-layer
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -36,10 +38,8 @@ namespace iqs {
 namespace serve {
 namespace {
 
-// A delay far past any test's runtime: these tests pin batch boundaries
-// with the SIZE trigger (submit exactly max_batch, wait, repeat), so the
-// time trigger must never fire.
-constexpr uint64_t kNeverDelayNs = 30ull * 1000 * 1000 * 1000;
+// A queue-time budget far past any test's runtime: never sheds.
+constexpr uint64_t kNeverShedNs = 30ull * 1000 * 1000 * 1000;
 
 std::vector<double> MakeKeys(size_t n) {
   std::vector<double> keys(n);
@@ -65,15 +65,14 @@ ServeFrontend<BatchQuery, size_t, BatchResult>::BatchFn PositionBackend(
   };
 }
 
+// Default ServeOptions: a lone query flushes as soon as the worker wakes,
+// with no window to wait out.
 TEST(ServeFrontendTest, SingleQueryRoundTrip) {
   const std::vector<double> keys = MakeKeys(64);
   const std::vector<double> weights = MakeWeights(64, 1);
   const ChunkedRangeSampler sampler(keys, weights);
 
-  ServeOptions options;
-  options.max_batch = 8;
-  options.max_delay_ns = 1000 * 1000;  // 1ms: the lone query flushes on time
-  RangeServeFrontend frontend(options, PositionBackend(&sampler));
+  RangeServeFrontend frontend(ServeOptions{}, PositionBackend(&sampler));
 
   ServeTicket<size_t> ticket;
   ASSERT_TRUE(frontend.Submit(0, BatchQuery{4.0, 40.0, 16}, &ticket));
@@ -91,7 +90,8 @@ TEST(ServeFrontendTest, SingleQueryRoundTrip) {
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.rejected, 0u);
   EXPECT_EQ(stats.shed, 0u);
-  EXPECT_GE(stats.batches_flushed, 1u);
+  EXPECT_EQ(stats.batches_flushed, 1u);
+  EXPECT_EQ(stats.batch_size.max_ns(), 1u);
 }
 
 TEST(ServeFrontendTest, EmptyIntervalCompletesEmpty) {
@@ -100,13 +100,77 @@ TEST(ServeFrontendTest, EmptyIntervalCompletesEmpty) {
   const ChunkedRangeSampler sampler(keys, weights);
 
   ServeOptions options;
-  options.max_delay_ns = 1000 * 1000;
   RangeServeFrontend frontend(options, PositionBackend(&sampler));
 
   ServeTicket<size_t> ticket;
   ASSERT_TRUE(frontend.Submit(0, BatchQuery{100.0, 200.0, 8}, &ticket));
   EXPECT_EQ(ticket.Wait(), ServeStatus::kEmpty);
   EXPECT_TRUE(ticket.samples().empty());
+}
+
+// Test rig whose backend parks each batch inside the callback until
+// released, so tests can fill the queue while the worker is busy — which
+// is what makes admission and flush boundaries deterministic.
+class GatedBackend {
+ public:
+  // Lets every parked batch through, and every later one as well.
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = std::numeric_limits<uint64_t>::max();
+    cv_.notify_all();
+  }
+
+  // Lets the batches parked so far through; later batches park again.
+  void ReleaseParked() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = entered_;
+    cv_.notify_all();
+  }
+
+  // Blocks until a batch is parked in the backend.
+  void AwaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_ > released_; });
+  }
+
+  RangeServeFrontend::BatchFn Wrap(const ChunkedRangeSampler* sampler) {
+    return [this, sampler](size_t /*shard*/,
+                           std::span<const BatchQuery> queries, Rng* rng,
+                           ScratchArena* arena, const BatchOptions& opts,
+                           BatchResult* result) {
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        const uint64_t turn = entered_++;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return released_ > turn; });
+      }
+      sampler->QueryBatch(queries, rng, arena, opts, result);
+    };
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  uint64_t entered_ = 0;   // batches that have reached the gate
+  uint64_t released_ = 0;  // batches [0, released_) may pass
+};
+
+// Parks shard 0's worker inside a one-query batch of `gate_workload`
+// (served by `gate`), runs `enqueue` while it is parked, then releases
+// it. The worker's next flushes therefore take exactly what `enqueue`
+// queued, in max_batch-sized pieces — batch boundaries pinned without
+// any reliance on timing. The gate class draws from its own stream, so
+// it leaves every other class's output untouched.
+template <typename Enqueue>
+void WhileWorkerParked(RangeServeFrontend* frontend, GatedBackend* gate,
+                       size_t gate_workload, Enqueue enqueue) {
+  ServeTicket<size_t> gate_ticket;
+  ASSERT_TRUE(frontend->Submit(0, gate_workload, BatchQuery{0.0, 1.0, 1},
+                               &gate_ticket));
+  gate->AwaitEntered();
+  enqueue();
+  gate->ReleaseParked();
+  EXPECT_EQ(gate_ticket.Wait(), ServeStatus::kOk);
 }
 
 // Collected terminal state of one run: (status, samples) per query, in
@@ -118,27 +182,35 @@ struct RunOutput {
   bool operator==(const RunOutput&) const = default;
 };
 
-// Submits `waves` waves of exactly options.max_batch queries from one
-// producer, waiting out each wave before the next, so batch boundaries
-// are pinned to [0,B), [B,2B), ... regardless of scheduling.
+// Submits `waves` waves of `wave_size` (<= options.max_batch) workload-0
+// queries from one producer, each queued while the worker is parked in a
+// gate batch (workload 1) and waited out before the next, so workload 0's
+// batch boundaries are pinned to [0,W), [W,2W), ... regardless of
+// scheduling.
 RunOutput RunPinnedWaves(const ServeOptions& options,
-                         const ChunkedRangeSampler& sampler, size_t waves) {
-  RangeServeFrontend frontend(options, PositionBackend(&sampler));
+                         const ChunkedRangeSampler& sampler, size_t waves,
+                         size_t wave_size) {
+  GatedBackend gate;
+  RangeServeFrontend frontend(options,
+                              {PositionBackend(&sampler), gate.Wrap(&sampler)});
   RunOutput out;
   Rng query_rng(99);  // query CONTENT stream, independent of the frontend
   std::vector<std::unique_ptr<ServeTicket<size_t>>> tickets;
-  for (size_t i = 0; i < options.max_batch; ++i) {
+  for (size_t i = 0; i < wave_size; ++i) {
     tickets.push_back(std::make_unique<ServeTicket<size_t>>());
   }
   for (size_t wave = 0; wave < waves; ++wave) {
-    for (size_t i = 0; i < options.max_batch; ++i) {
-      tickets[i]->Reset();
-      const double lo = query_rng.NextDouble() * 48.0;
-      const double hi = lo + query_rng.NextDouble() * 16.0;
-      const size_t s = 1 + (query_rng.Next64() % 7);
-      EXPECT_TRUE(frontend.Submit(0, BatchQuery{lo, hi, s}, tickets[i].get()));
-    }
-    for (size_t i = 0; i < options.max_batch; ++i) {
+    WhileWorkerParked(&frontend, &gate, /*gate_workload=*/1, [&] {
+      for (size_t i = 0; i < wave_size; ++i) {
+        tickets[i]->Reset();
+        const double lo = query_rng.NextDouble() * 48.0;
+        const double hi = lo + query_rng.NextDouble() * 16.0;
+        const size_t s = 1 + (query_rng.Next64() % 7);
+        EXPECT_TRUE(
+            frontend.Submit(0, BatchQuery{lo, hi, s}, tickets[i].get()));
+      }
+    });
+    for (size_t i = 0; i < wave_size; ++i) {
       out.statuses.push_back(tickets[i]->Wait());
       out.samples.emplace_back(tickets[i]->samples());
     }
@@ -156,10 +228,10 @@ TEST(ServeFrontendTest, DeterministicAcrossInnerThreadCounts) {
   for (size_t num_threads : {1u, 2u, 7u}) {
     ServeOptions options;
     options.max_batch = 16;
-    options.max_delay_ns = kNeverDelayNs;
     options.seed = 4242;
     options.batch.num_threads = num_threads;
-    runs.push_back(RunPinnedWaves(options, sampler, /*waves=*/4));
+    runs.push_back(
+        RunPinnedWaves(options, sampler, /*waves=*/4, /*wave_size=*/16));
   }
   EXPECT_EQ(runs[0], runs[1]);
   EXPECT_EQ(runs[0], runs[2]);
@@ -174,26 +246,27 @@ TEST(ServeFrontendTest, DeterministicAcrossWindowConfigs) {
   const std::vector<double> weights = MakeWeights(64, 4);
   const ChunkedRangeSampler sampler(keys, weights);
 
-  // Three configs that differ in everything EXCEPT what determines the
-  // batch boundaries (max_batch, and the wave submission pattern): the
-  // time window, queue bound, admission policy, and the deadline budget
+  // Three configs with the same seed and the same pinned waves (hence
+  // the same batch boundaries) that differ in everything else: the batch
+  // bound, queue bound, admission policy, and the deadline budget
   // (generous enough never to shed) must all be invisible in the output.
   ServeOptions a;
   a.max_batch = 8;
-  a.max_delay_ns = kNeverDelayNs;
   a.seed = 777;
 
   ServeOptions b = a;
-  b.max_delay_ns = 2 * kNeverDelayNs;
+  b.max_batch = 32;  // room to spare: the 8-query waves still flush whole
   b.queue_capacity = 64;
   b.admission = AdmissionPolicy::kReject;
 
   ServeOptions c = a;
-  c.deadline_ns = kNeverDelayNs;
+  c.deadline_ns = kNeverShedNs;
 
-  const RunOutput ra = RunPinnedWaves(a, sampler, /*waves=*/6);
-  const RunOutput rb = RunPinnedWaves(b, sampler, /*waves=*/6);
-  const RunOutput rc = RunPinnedWaves(c, sampler, /*waves=*/6);
+  constexpr size_t kWaves = 6;
+  constexpr size_t kWaveSize = 8;
+  const RunOutput ra = RunPinnedWaves(a, sampler, kWaves, kWaveSize);
+  const RunOutput rb = RunPinnedWaves(b, sampler, kWaves, kWaveSize);
+  const RunOutput rc = RunPinnedWaves(c, sampler, kWaves, kWaveSize);
   EXPECT_EQ(ra, rb);
   EXPECT_EQ(ra, rc);
 }
@@ -209,7 +282,6 @@ TEST(ServeFrontendTest, DrainCompletesEveryTicketExactlyOnce) {
   ServeOptions options;
   options.num_shards = 2;
   options.max_batch = 32;
-  options.max_delay_ns = 20 * 1000;
   {
     RangeServeFrontend frontend(options, PositionBackend(&sampler));
     std::vector<std::vector<ServeTicket<size_t>>> tickets(kProducers);
@@ -273,43 +345,6 @@ TEST(ServeFrontendTest, DrainIsIdempotentAndDestructorSafe) {
   // Destructor drains again on scope exit — must be a no-op.
 }
 
-// Test rig whose backend parks inside the batch callback until released,
-// so admission tests can fill the queue deterministically.
-class GatedBackend {
- public:
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
-  void AwaitEntered() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return entered_; });
-  }
-
-  RangeServeFrontend::BatchFn Wrap(const ChunkedRangeSampler* sampler) {
-    return [this, sampler](size_t /*shard*/,
-                           std::span<const BatchQuery> queries, Rng* rng,
-                           ScratchArena* arena, const BatchOptions& opts,
-                           BatchResult* result) {
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        entered_ = true;
-        cv_.notify_all();
-        cv_.wait(lock, [&] { return released_; });
-      }
-      sampler->QueryBatch(queries, rng, arena, opts, result);
-    };
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool entered_ = false;
-  bool released_ = false;
-};
-
 TEST(ServeFrontendTest, RejectPolicyShedsAtTheDoorWhenFull) {
   const std::vector<double> keys = MakeKeys(16);
   const std::vector<double> weights = MakeWeights(16, 7);
@@ -319,7 +354,6 @@ TEST(ServeFrontendTest, RejectPolicyShedsAtTheDoorWhenFull) {
   ServeOptions options;
   options.max_batch = 2;
   options.queue_capacity = 4;
-  options.max_delay_ns = 1;  // flush immediately; the gate does the pacing
   options.admission = AdmissionPolicy::kReject;
   RangeServeFrontend frontend(options, gate.Wrap(&sampler));
 
@@ -358,7 +392,6 @@ TEST(ServeFrontendTest, BlockPolicyAppliesBackpressure) {
   ServeOptions options;
   options.max_batch = 2;
   options.queue_capacity = 2;
-  options.max_delay_ns = 1;
   options.admission = AdmissionPolicy::kBlock;
   RangeServeFrontend frontend(options, gate.Wrap(&sampler));
 
@@ -397,7 +430,6 @@ TEST(ServeFrontendTest, DeadlineShedsStaleQueries) {
   std::atomic<bool> backend_ran{false};
   ServeOptions options;
   options.max_batch = 4;
-  options.max_delay_ns = 1;
   options.deadline_ns = 1;
   RangeServeFrontend frontend(
       options, [&backend_ran](size_t /*shard*/,
@@ -435,7 +467,6 @@ TEST(ServeFrontendTest, DistributionThroughTheBatcherMatchesWeights) {
 
   ServeOptions options;
   options.max_batch = 64;
-  options.max_delay_ns = kNeverDelayNs;
   options.seed = 31337;
   RangeServeFrontend frontend(options, PositionBackend(&sampler));
 
@@ -467,27 +498,83 @@ TEST(ServeFrontendTest, StatsBatchSizeNeverExceedsWindow) {
   const std::vector<double> weights = MakeWeights(32, 10);
   const ChunkedRangeSampler sampler(keys, weights);
 
+  GatedBackend gate;
   ServeOptions options;
   options.max_batch = 16;
-  options.max_delay_ns = 5 * 1000;
   // A nonzero BatchOptions::max_batch arms the executor-side IQS_CHECK,
   // so an oversized flush would abort inside the backend as well.
-  RangeServeFrontend frontend(options, PositionBackend(&sampler));
+  RangeServeFrontend frontend(options,
+                              {PositionBackend(&sampler), gate.Wrap(&sampler)});
 
+  // All 300 queue up behind the parked worker, so the coalescing below
+  // is guaranteed rather than a matter of producer/worker timing.
   std::vector<ServeTicket<size_t>> tickets(300);
-  for (ServeTicket<size_t>& ticket : tickets) {
-    ASSERT_TRUE(frontend.Submit(0, BatchQuery{4.0, 28.0, 2}, &ticket));
-  }
+  WhileWorkerParked(&frontend, &gate, /*gate_workload=*/1, [&] {
+    for (ServeTicket<size_t>& ticket : tickets) {
+      ASSERT_TRUE(frontend.Submit(0, BatchQuery{4.0, 28.0, 2}, &ticket));
+    }
+  });
   for (ServeTicket<size_t>& ticket : tickets) {
     EXPECT_EQ(ticket.Wait(), ServeStatus::kOk);
   }
   frontend.Drain();
   const ServeShardStats stats = frontend.ShardStats(0);
   EXPECT_LE(stats.batch_size.max_ns(), options.max_batch);
-  EXPECT_EQ(stats.batch_size.sum_ns(), tickets.size());
+  EXPECT_EQ(stats.batch_size.sum_ns(), tickets.size() + 1);  // + the gate
   EXPECT_EQ(stats.time_in_batch_ns.count(), stats.batches_flushed);
-  // Coalescing happened at all (not 300 batches of one).
-  EXPECT_LT(stats.batches_flushed, tickets.size());
+  // Coalescing happened: 300 queued queries flush as ceil(300/16) = 19
+  // batches, not 300 batches of one.
+  EXPECT_EQ(frontend.WorkloadStats(0, 0).batches_flushed, 19u);
+}
+
+// The opportunistic-batching contract: a flush takes everything queued
+// during the previous flush, up to max_batch, with no timed wait — so K
+// queries queued behind a busy worker flush as one batch of K (K <=
+// max_batch), or as max_batch-sized batches plus the remainder.
+TEST(ServeFrontendTest, FlushTakesEverythingQueuedDuringPreviousFlush) {
+  const std::vector<double> keys = MakeKeys(32);
+  const std::vector<double> weights = MakeWeights(32, 21);
+  const ChunkedRangeSampler sampler(keys, weights);
+
+  constexpr size_t kMaxBatch = 8;
+  for (size_t k : {size_t{1}, size_t{5}, kMaxBatch, 2 * kMaxBatch + 1}) {
+    SCOPED_TRACE(k);
+    GatedBackend gate;
+    ServeOptions options;
+    options.max_batch = kMaxBatch;
+    RangeServeFrontend frontend(
+        options, {PositionBackend(&sampler), gate.Wrap(&sampler)});
+
+    std::vector<ServeTicket<size_t>> tickets(k);
+    WhileWorkerParked(&frontend, &gate, /*gate_workload=*/1, [&] {
+      for (ServeTicket<size_t>& ticket : tickets) {
+        ASSERT_TRUE(frontend.Submit(0, BatchQuery{4.0, 28.0, 2}, &ticket));
+      }
+    });
+    for (ServeTicket<size_t>& ticket : tickets) {
+      EXPECT_EQ(ticket.Wait(), ServeStatus::kOk);
+    }
+    frontend.Drain();
+
+    const ServeShardStats stats = frontend.WorkloadStats(0, 0);
+    const LatencyHistogram& sizes = stats.batch_size;
+    EXPECT_EQ(sizes.sum_ns(), k);
+    if (k <= kMaxBatch) {
+      // Exactly one follow-up flush, of size K.
+      EXPECT_EQ(stats.batches_flushed, 1u);
+      EXPECT_EQ(sizes.count(), 1u);
+      EXPECT_EQ(sizes.max_ns(), k);
+    } else {
+      // max_batch, max_batch, 1: three flushes summing to K, the largest
+      // max_batch, and exactly one of size 1 (the only value in its
+      // histogram bucket) — which forces the middle one to max_batch too.
+      EXPECT_EQ(stats.batches_flushed, 3u);
+      EXPECT_EQ(sizes.count(), 3u);
+      EXPECT_EQ(sizes.max_ns(), kMaxBatch);
+      EXPECT_EQ(sizes.bucket(LatencyHistogram::BucketOf(1)), 1u);
+      EXPECT_EQ(sizes.bucket(LatencyHistogram::BucketOf(kMaxBatch)), 2u);
+    }
+  }
 }
 
 // The TSan workhorse: multi-producer traffic over the versioned
@@ -502,7 +589,6 @@ TEST(ServeFrontendTest, ChurnStressOverVersionedSampler) {
   ServeOptions options;
   options.num_shards = 2;
   options.max_batch = 32;
-  options.max_delay_ns = 20 * 1000;
   options.batch.num_threads = 2;
   KeyServeFrontend frontend(
       options,
@@ -573,7 +659,6 @@ TEST(ServeTicketTest, OnCompleteDeliversWithoutWait) {
   const ChunkedRangeSampler sampler(keys, weights);
 
   ServeOptions options;
-  options.max_delay_ns = 1000 * 1000;
   RangeServeFrontend frontend(options, PositionBackend(&sampler));
 
   std::atomic<uint32_t> fires{0};
@@ -606,7 +691,6 @@ TEST(ServeTicketTest, OnCompleteSurvivesResetAcrossResubmits) {
   const ChunkedRangeSampler sampler(keys, weights);
 
   ServeOptions options;
-  options.max_delay_ns = 1000 * 1000;
   RangeServeFrontend frontend(options, PositionBackend(&sampler));
 
   // Armed ONCE; Reset must keep the continuation armed, so a reusable
@@ -669,7 +753,6 @@ TEST(ServeFrontendTest, OnCompleteChurnDeliversEveryTicketExactlyOnce) {
   ServeOptions options;
   options.num_shards = 2;
   options.max_batch = 32;
-  options.max_delay_ns = 20 * 1000;
   std::atomic<uint64_t> ok{0};
   std::atomic<uint64_t> rejected{0};
   {
@@ -748,7 +831,6 @@ TEST(ServeFrontendTest, WorkloadRoutingRoutesClassesToTheirBackends) {
 
   constexpr size_t kMarker = 777;  // far outside the sampler's key space
   ServeOptions options;
-  options.max_delay_ns = 1000 * 1000;
   RangeServeFrontend frontend(
       options, {PositionBackend(&sampler), ConstantBackend(kMarker)});
   ASSERT_EQ(frontend.num_workloads(), 2u);
@@ -797,13 +879,16 @@ TEST(ServeFrontendTest, WorkloadRoutingRoutesClassesToTheirBackends) {
 }
 
 // RunPinnedWaves over a two-class routing table: each wave interleaves
-// both workloads into pinned boundaries, collecting outputs per class.
+// both workloads into pinned boundaries (the gate is a third class, id
+// 2), collecting outputs per class.
 RunOutput RunRoutedPinnedWaves(const ServeOptions& options,
                                const ChunkedRangeSampler& sampler_a,
                                const ChunkedRangeSampler& sampler_b,
                                size_t waves) {
+  GatedBackend gate;
   RangeServeFrontend frontend(
-      options, {PositionBackend(&sampler_a), PositionBackend(&sampler_b)});
+      options, {PositionBackend(&sampler_a), PositionBackend(&sampler_b),
+                gate.Wrap(&sampler_a)});
   RunOutput out;
   Rng query_rng(99);
   std::vector<std::unique_ptr<ServeTicket<size_t>>> tickets;
@@ -811,14 +896,16 @@ RunOutput RunRoutedPinnedWaves(const ServeOptions& options,
     tickets.push_back(std::make_unique<ServeTicket<size_t>>());
   }
   for (size_t wave = 0; wave < waves; ++wave) {
-    for (size_t i = 0; i < options.max_batch; ++i) {
-      tickets[i]->Reset();
-      const double lo = query_rng.NextDouble() * 48.0;
-      const double hi = lo + query_rng.NextDouble() * 16.0;
-      const size_t s = 1 + (query_rng.Next64() % 7);
-      EXPECT_TRUE(frontend.Submit(0, i % 2, BatchQuery{lo, hi, s},
-                                  tickets[i].get()));
-    }
+    WhileWorkerParked(&frontend, &gate, /*gate_workload=*/2, [&] {
+      for (size_t i = 0; i < options.max_batch; ++i) {
+        tickets[i]->Reset();
+        const double lo = query_rng.NextDouble() * 48.0;
+        const double hi = lo + query_rng.NextDouble() * 16.0;
+        const size_t s = 1 + (query_rng.Next64() % 7);
+        EXPECT_TRUE(frontend.Submit(0, i % 2, BatchQuery{lo, hi, s},
+                                    tickets[i].get()));
+      }
+    });
     for (size_t i = 0; i < options.max_batch; ++i) {
       out.statuses.push_back(tickets[i]->Wait());
       out.samples.emplace_back(tickets[i]->samples());
@@ -840,7 +927,6 @@ TEST(ServeFrontendTest, RoutedFlushesDeterministicAcrossInnerThreadCounts) {
   for (size_t num_threads : {1u, 2u, 7u}) {
     ServeOptions options;
     options.max_batch = 16;
-    options.max_delay_ns = kNeverDelayNs;
     options.seed = 2718;
     options.batch.num_threads = num_threads;
     runs.push_back(
@@ -882,7 +968,6 @@ TEST(ServeFrontendTest, JoinWorkloadServedAsSecondTrafficClass) {
   const ChunkedRangeSampler range_sampler(keys, weights);
 
   ServeOptions options;
-  options.max_delay_ns = 1000 * 1000;
   RangeServeFrontend range_frontend(options, PositionBackend(&range_sampler));
   JoinServeFrontend join_frontend(
       options,
@@ -940,18 +1025,11 @@ TEST(ServeOptionsDeathTest, RejectsZeroMaxBatch) {
   EXPECT_DEATH(ValidateServeOptions(options), "max_batch >= 1");
 }
 
-TEST(ServeOptionsDeathTest, RejectsZeroMaxDelay) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ServeOptions options;
-  options.max_delay_ns = 0;
-  EXPECT_DEATH(ValidateServeOptions(options), "max_delay_ns >= 1");
-}
-
 TEST(ServeOptionsDeathTest, RejectsQueueSmallerThanWindow) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ServeOptions options;
   options.max_batch = 64;
-  options.queue_capacity = 63;  // could never fill a size-triggered flush
+  options.queue_capacity = 63;  // could never hold a full batch
   EXPECT_DEATH(ValidateServeOptions(options), "queue_capacity");
 }
 
@@ -971,7 +1049,7 @@ TEST(ServeOptionsDeathTest, RejectsContradictoryBatchWindow) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ServeOptions options;
   options.max_batch = 16;
-  options.batch.max_batch = 8;  // below the flush window it must admit
+  options.batch.max_batch = 8;  // below the batch bound it must admit
   EXPECT_DEATH(ValidateServeOptions(options), "batch.max_batch");
 }
 
