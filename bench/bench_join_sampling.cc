@@ -10,10 +10,11 @@
 //     two-pass uniform pick (join/join_enumerator.h's
 //     BruteForceJoinSample). Cost Omega(|J|) per request, and |J| grows
 //     quadratically in n at fixed selectivity.
-//   * sampler — JoinSampler: phase-1 weighted sweep once at build
-//     (O(n log n)-ish, counting J without enumerating it), then each
-//     batch pays a replay sweep + alias draws + cover-executor draws —
-//     independent of |J|.
+//   * sampler — JoinSampler: ranks, a weight-counting sweep and static
+//     node lists once at build (O(n log n), counting J without
+//     enumerating it), then each batch pays alias draws, O(log^2 n)
+//     cover lookups per anchor and cover-executor draws — independent
+//     of |J|, and of n beyond the log factors.
 //
 // The sweep holds join selectivity |J| / (n_R * n_S) near 1.6% (x-extents
 // ~2% of the domain, y-extents ~80%, independent uniform corners) and

@@ -8,7 +8,9 @@
 // the sample budget is split multinomially and per-group draws are made.
 // CoverPlan is that shape for a whole serving batch: a flat group arena
 // with per-query extents and budgets, reusable across calls (Clear() keeps
-// capacity, so steady-state batches allocate nothing).
+// capacity, so steady-state batches allocate nothing). A plan built inside
+// one call can instead live in the caller's ScratchArena (CoverPlan(arena),
+// util/scratch_arena.h), so its buffers count toward the arena's size.
 //
 // CoverExecutor (cover_executor.h) consumes a plan and owns the batched
 // sampling pipeline; structure-specific code only *enumerates* groups.
@@ -18,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory_resource>
 #include <span>
 #include <vector>
 
@@ -61,6 +64,11 @@ struct CoverGroup {
 // exactly its budget.
 class CoverPlan {
  public:
+  CoverPlan() = default;
+  // Storage from `resource` (e.g. a ScratchArena) instead of the heap.
+  explicit CoverPlan(std::pmr::memory_resource* resource)
+      : groups_(resource), query_first_(resource), budgets_(resource) {}
+
   void Clear() {
     groups_.clear();
     query_first_.clear();
@@ -112,9 +120,9 @@ class CoverPlan {
   }
 
  private:
-  std::vector<CoverGroup> groups_;
-  std::vector<size_t> query_first_;  // parallel to budgets_
-  std::vector<size_t> budgets_;
+  std::pmr::vector<CoverGroup> groups_;
+  std::pmr::vector<size_t> query_first_;  // parallel to budgets_
+  std::pmr::vector<size_t> budgets_;
 };
 
 }  // namespace iqs

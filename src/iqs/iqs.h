@@ -41,7 +41,6 @@
 #include "iqs/em/sample_pool.h"
 #include "iqs/em/stepwise_sort.h"
 #include "iqs/em/weighted_sample_pool.h"
-#include "iqs/join/active_rank_tree.h"
 #include "iqs/join/join_batch.h"
 #include "iqs/join/join_enumerator.h"
 #include "iqs/join/join_sampler.h"

@@ -1,7 +1,8 @@
 // JoinSampler — i.i.d. uniform sampling from the result of a 2-d
-// rectangle intersection join WITHOUT materializing it (ROADMAP item 3;
-// the SJS three-phase shape of SNIPPETS.md §2 lowered onto this
-// library's cover pipeline).
+// rectangle intersection join WITHOUT materializing it (the SJS
+// three-phase shape of SNIPPETS.md §2 lowered onto this library's cover
+// pipeline, with the canonical-node reduction of independent range
+// sampling in place of a per-batch sweep).
 //
 // Join: J = { (r, s) : r.Intersects(s) } over two relations of closed
 // rectangles. |J| can be Θ(n^2) while a query only wants s independent
@@ -10,36 +11,49 @@
 // this module is the generality test of that machinery beyond range
 // queries.
 //
+// Four classes. Starts are ordered strictly by (lo, rel, id) on each
+// axis, so of two intersecting rectangles exactly one starts later on x
+// and exactly one starts later on y. Either the same rectangle starts
+// later on both axes — its lower-left corner lies in the other (a CORNER
+// pair, R's corner or S's corner) — or not, and then the later-x one's
+// left edge crosses the later-y one's bottom edge (an EDGE pair, R's
+// left edge or S's). Charging a corner pair to the rectangle holding the
+// corner and an edge pair to the one whose left edge is crossed gives
+//   w_u = (opposite corners in u) + (opposite bottom edges crossing u's
+//         left edge),
+// i.e. the opposite rectangles that meet u and start later on y, and
+// sum_u w_u = |J| exactly.
+//
 // Three phases:
-//   1. (construction) Plane-sweep on x in rank space. Each relation keeps
-//      an Activate/Deactivate structure over its y-extents
-//      (join/active_rank_tree.h); at every START event e the OPPOSITE
-//      tree counts K_e = active rectangles with y-overlap, charging each
-//      joining pair to the LATER of its two starts (query before
-//      activate), so |J| = sum of the per-event weights w_e = |K_e|. An
-//      alias table over {w_e} is built once.
+//   1. (construction) Rank both axes; an offline sweep over x-ranks with
+//      count Fenwicks over y-ranks computes every w_u in O(log n). Per
+//      relation, one x-rank tree holds y-rank-sorted node lists in a
+//      flat slot array: each rectangle's corner at its leaf's ancestors
+//      (the corner range query, as in multidim/range_tree.h) and its
+//      x-extent at its canonical nodes (the edge stab query). An alias
+//      table over {w_u} is built once.
 //   2. (per batch) The alias table assigns every sample slot of the batch
-//      to its START event in O(1) per draw — the event marginal must be
-//      w_e / |J| for pairs to be uniform over J.
-//   3. (per batch) A second sweep replays the events; at a drawing event
-//      the opposite tree's active set is re-enumerated as weighted
-//      contiguous runs into a CoverPlan, and pending plan queries are
-//      flushed through CoverExecutor::ExecuteOverSampler (over the
-//      tree's Fenwick-backed RangeSampler view) each time their tree is
-//      about to change. There is NO bespoke draw loop: the multinomial
-//      split across an event's runs, per-query RNG substreams,
-//      parallelism and telemetry are all the shared executor pipeline.
+//      to its anchor u in O(1) per draw — the marginal must be w_u / |J|
+//      for pairs to be uniform over J.
+//   3. (per batch) u's partners are the valid slots of about 3 log n
+//      node lists (2 log n canonical nodes of the corner query, log n
+//      path nodes of the stab query), each a contiguous run after two
+//      binary searches — a CoverPlan group weighted by its length. The
+//      whole batch is drawn by one CoverExecutor::ExecuteOverSampler
+//      call over a uniform view of the slot array: no bespoke draw loop,
+//      and the multinomial split, per-query substreams, parallelism and
+//      telemetry are the shared executor pipeline.
 //
-// Costs: construction O(n B log_B n log n); a batch with total budget s
-// costs O(n log_B n log n + s log n) — independent of |J|. Space
-// O(n log_B n).
+// Costs for n = |R| + |S| rectangles: construction O(n log n); space
+// O(n log n) (each rectangle sits in about log n point lists and at most
+// 2 log n edge lists); a batch with total budget s costs O(s log^2 n)
+// for its covers plus the executor's O(s + groups) draws — independent
+// of |J| and of n beyond the log factors.
 //
-// Concurrency: SampleJoinBatch is const and thread-safe, but the sweep
-// mutates the trees (they return to all-inactive at the end), so
-// concurrent batches SERIALIZE on an internal mutex; inner executor
-// parallelism (opts.num_threads) still applies within a batch. Shard a
-// serve frontend over multiple JoinSampler replicas for sweep-level
-// parallelism.
+// Concurrency: the sampler is immutable after construction, so
+// SampleJoinBatch is const and any number of threads may call it at once
+// (each with its own Rng, arena and result); opts.num_threads adds
+// executor parallelism within a batch.
 //
 // Determinism: fixed seed + fixed inputs give byte-identical batches;
 // parallel mode (num_threads >= 1) is bit-identical for EVERY thread
@@ -54,32 +68,26 @@
 #include <vector>
 
 #include "iqs/alias/alias_table.h"
-#include "iqs/join/active_rank_tree.h"
+#include "iqs/cover/cover_plan.h"
 #include "iqs/join/join_batch.h"
 #include "iqs/multidim/point.h"
 #include "iqs/util/batch_options.h"
 #include "iqs/util/rng.h"
 #include "iqs/util/scratch_arena.h"
-#include "iqs/util/thread_annotations.h"
 
 namespace iqs::join {
 
-struct JoinSamplerOptions {
-  // Block-size base of the active trees: space n*log_B n, covers of
-  // B*log_B n runs per event. 16 balances both at the bench scales.
-  size_t branching = 16;
-};
-
 class JoinSampler {
  public:
-  // Copies the relations (rect ids in sampled pairs index these spans)
-  // and runs phase 1. Rectangles must be well-formed (lo <= hi per axis).
+  // Copies what it needs of the relations (rect ids in sampled pairs
+  // index these spans) and runs phase 1. Every rectangle must be
+  // well-formed — x_lo <= x_hi and y_lo <= y_hi, which also rejects NaN
+  // coordinates — or construction aborts.
   JoinSampler(std::span<const multidim::Rect> r,
-              std::span<const multidim::Rect> s,
-              JoinSamplerOptions options = {});
+              std::span<const multidim::Rect> s);
 
-  size_t num_r() const { return r_.size(); }
-  size_t num_s() const { return s_.size(); }
+  size_t num_r() const { return num_r_; }
+  size_t num_s() const { return num_s_; }
 
   // Exact join cardinality |J| (a phase-1 byproduct — the sweep counts
   // the join without enumerating it).
@@ -90,7 +98,7 @@ class JoinSampler {
   // (cleared first), flat with per-query offsets. When J is empty every
   // query has resolved[i] == 0 and an empty slice. Per-query draws obey
   // the usual ORDERING CONTRACT (i.i.d. multiset, order unspecified —
-  // here grouped by sweep event); shuffle for an i.i.d. sequence.
+  // here grouped by anchor rectangle); shuffle for an i.i.d. sequence.
   void SampleJoinBatch(std::span<const JoinBatchQuery> queries, Rng* rng,
                        ScratchArena* arena, const BatchOptions& opts,
                        JoinBatchResult* result) const;
@@ -104,34 +112,46 @@ class JoinSampler {
   size_t MemoryBytes() const;
 
  private:
-  struct SweepEvent {
-    double x;
-    uint8_t type;  // start sorts before end at equal x (closed intervals)
-    uint8_t rel;   // 0 = r, 1 = s
-    uint32_t id;
+  // One rectangle in x-start order. Entities number R's rectangles
+  // 0..num_r-1 and S's num_r..n-1, so entity order is (rel, id) order.
+  struct Anchor {
+    uint32_t entity;
+    uint32_t x_end;   // last x-rank whose start is <= this x_hi
+    uint32_t y_rank;  // rank of this start in y order
+    uint32_t y_end;   // last y-rank whose start is <= this y_hi
   };
 
-  static constexpr uint32_t kNotDrawing = ~0u;
+  // Node list kinds per relation: corners (points) or x-extents (edges).
+  static constexpr uint32_t kCorners = 0;
+  static constexpr uint32_t kEdges = 1;
 
-  const multidim::Rect& RectOf(const SweepEvent& e) const {
-    return (e.rel == 0 ? r_ : s_)[e.id];
+  uint32_t RelOf(uint32_t entity) const { return entity < num_r_ ? 0 : 1; }
+  uint32_t IdOf(uint32_t entity) const {
+    return entity < num_r_ ? entity : entity - num_r_;
+  }
+  // Index into list_first_ of the (node, rel, kind) list.
+  static size_t ListOf(size_t node, uint32_t rel, uint32_t kind) {
+    return 4 * node + 2 * rel + kind;
   }
 
-  std::vector<multidim::Rect> r_;
-  std::vector<multidim::Rect> s_;
-  JoinSamplerOptions options_;
-  std::vector<SweepEvent> events_;          // sorted sweep order
-  std::vector<uint32_t> start_rank_of_;     // per event; kNotDrawing if w_e=0
-  std::vector<double> start_weight_;        // per start rank: w_e
-  std::vector<uint32_t> event_of_rank_;     // start rank -> event index
-  AliasTable alias_;                        // over start_weight_
-  uint64_t join_size_ = 0;
+  // Appends the anchor at x-rank `a`'s partners to the current query of
+  // `plan` as runs of slots_, each weighted by its length; returns the
+  // total, which equals a's weight.
+  uint64_t AppendPartnerCover(uint32_t a, CoverPlan* plan) const;
 
-  // Phase-3 scratch: the trees mutate during the replay sweep (and end
-  // back at all-inactive), so batches serialize here.
-  mutable Mutex mu_;
-  mutable ActiveRankTree tree_r_ IQS_GUARDED_BY(mu_);
-  mutable ActiveRankTree tree_s_ IQS_GUARDED_BY(mu_);
+  uint32_t num_r_ = 0;
+  uint32_t num_s_ = 0;
+  uint32_t n_ = 0;                      // leaves of the x-rank trees
+  std::vector<Anchor> by_x_;            // x-rank -> anchor
+  std::vector<uint32_t> entity_by_y_;   // y-rank -> entity
+  // Tree node v in [1, 2n) (bottom-up layout, leaf of x-rank a at n + a)
+  // owns, per relation and kind, the y-ranks
+  // slots_[list_first_[ListOf(v, rel, kind)] .. list_first_[... + 1]),
+  // ascending.
+  std::vector<uint32_t> list_first_;
+  std::vector<uint32_t> slots_;
+  AliasTable alias_;                    // over x-ranks, weight w_u
+  uint64_t join_size_ = 0;
 };
 
 }  // namespace iqs::join

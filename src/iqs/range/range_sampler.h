@@ -73,7 +73,8 @@ class RangeSampler {
   RangeSampler(const RangeSampler&) = delete;
   RangeSampler& operator=(const RangeSampler&) = delete;
 
-  size_t n() const { return keys_.size(); }
+  // Number of positions: one per key, unless a keyless view overrides it.
+  virtual size_t n() const { return keys_.size(); }
   const std::vector<double>& keys() const { return keys_; }
 
   // Draws `s` independent weighted samples from the elements at positions
@@ -153,6 +154,11 @@ class RangeSampler {
  protected:
   // `keys` must be strictly increasing and nonempty.
   explicit RangeSampler(std::span<const double> keys);
+
+  // A keyless position view, for structures whose groups are slot runs
+  // with no key order (the join sampler's slot array). It must override
+  // n(); Query and ResolveInterval resolve nothing.
+  RangeSampler() = default;
 
   std::vector<double> keys_;
 };

@@ -14,6 +14,11 @@
 // fresh block — blocks are chained, never reallocated, and Reset()
 // coalesces the chain into one block so growth converges.
 //
+// The arena is also a std::pmr::memory_resource, so containers that need
+// to grow while a call builds them (a CoverPlan, say) can live in it too:
+// deallocation is a no-op and everything is reclaimed at Reset(), so such
+// a container must not outlive the cycle it was built in.
+//
 // Not thread-safe; use one arena per thread (the single-query fallback
 // paths keep a thread_local arena for exactly this reason).
 
@@ -22,6 +27,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <memory_resource>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -30,7 +36,7 @@
 
 namespace iqs {
 
-class ScratchArena {
+class ScratchArena final : public std::pmr::memory_resource {
  public:
   explicit ScratchArena(size_t initial_bytes = 4096) {
     blocks_.push_back(NewBlock(initial_bytes));
@@ -46,14 +52,8 @@ class ScratchArena {
                   "arena memory is never destroyed");
     static_assert(alignof(T) <= alignof(std::max_align_t));
     if (count == 0) return {};
-    const size_t bytes = count * sizeof(T);
-    Block& block = blocks_[active_];
-    const size_t aligned = Align(block.used, alignof(T));
-    if (aligned + bytes <= block.size) {
-      block.used = aligned + bytes;
-      return {reinterpret_cast<T*>(block.data.get() + aligned), count};
-    }
-    return {reinterpret_cast<T*>(Overflow(bytes, alignof(T))), count};
+    return {static_cast<T*>(AllocBytes(count * sizeof(T), alignof(T))),
+            count};
   }
 
   // Rewinds all allocations (previously returned spans become invalid).
@@ -87,6 +87,27 @@ class ScratchArena {
     size_t size = 0;
     size_t used = 0;
   };
+
+  void* AllocBytes(size_t bytes, size_t alignment) {
+    Block& block = blocks_[active_];
+    const size_t aligned = Align(block.used, alignment);
+    if (aligned + bytes <= block.size) {
+      block.used = aligned + bytes;
+      return block.data.get() + aligned;
+    }
+    return Overflow(bytes, alignment);
+  }
+
+  // std::pmr::memory_resource: bump allocation, reclaimed at Reset().
+  void* do_allocate(size_t bytes, size_t alignment) override {
+    IQS_CHECK(alignment <= alignof(std::max_align_t));
+    return AllocBytes(bytes, alignment);
+  }
+  void do_deallocate(void*, size_t, size_t) override {}
+  bool do_is_equal(const std::pmr::memory_resource& other) const
+      noexcept override {
+    return this == &other;
+  }
 
   static size_t Align(size_t offset, size_t alignment) {
     return (offset + alignment - 1) & ~(alignment - 1);

@@ -1,12 +1,17 @@
 // Tests for the join-sampling module (iqs/join/): the sweep enumerator
 // against a nested loop, JoinSize against exact enumeration, the
 // sampling law (chi-square vs the uniform distribution over the
-// enumerated join result, alpha 1e-6), and byte-identity of batch output
-// across thread counts under a fixed seed.
+// enumerated join result, alpha 1e-6) on continuous and tie-heavy
+// inputs, byte-identity of batch output across thread counts under a
+// fixed seed, concurrent batches on one sampler, and input validation.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -38,6 +43,88 @@ std::vector<Rect> RandomRects(size_t n, double extent, double max_side,
     rects.push_back(Rect{x, x + w, y, y + h});
   }
   return rects;
+}
+
+// Integer-grid rectangles on a small grid, so coordinates collide: shared
+// x_lo / y_lo / x_hi within and across relations, zero-width and
+// zero-height rectangles (side 0), and edges or corners that only touch.
+std::vector<Rect> GridRects(size_t n, uint64_t grid, uint64_t max_side,
+                            Rng* rng) {
+  std::vector<Rect> rects;
+  rects.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(rng->Below(grid));
+    const double y = static_cast<double>(rng->Below(grid));
+    const double w = static_cast<double>(rng->Below(max_side + 1));
+    const double h = static_cast<double>(rng->Below(max_side + 1));
+    rects.push_back(Rect{x, x + w, y, y + h});
+  }
+  return rects;
+}
+
+// Inputs where the strict (lo, rel, id) start order is what decides the
+// charging class: every kind of tie the sampler must break consistently.
+struct JoinCase {
+  std::string name;
+  std::vector<Rect> r;
+  std::vector<Rect> s;
+};
+
+std::vector<JoinCase> TieCases() {
+  std::vector<JoinCase> cases;
+  Rng rng(7010);
+  cases.push_back(
+      {"grid", GridRects(40, 8, 3, &rng), GridRects(36, 8, 3, &rng)});
+  {
+    const std::vector<Rect> same = GridRects(14, 6, 3, &rng);
+    cases.push_back({"identical", same, same});
+  }
+  // Hand-placed touches: R0 and S1 identical (and R4 a duplicate inside
+  // R); S0 meets R0 only at the corner (1, 1); S2 meets the zero-height
+  // R2 only at (4, 5); the zero-width S3 meets the zero-width R1 only at
+  // (2, 3) and R2 only at (2, 5); the point S4 sits on R0's corner.
+  cases.push_back({"touching",
+                   {Rect{0, 1, 0, 1}, Rect{2, 2, 0, 3}, Rect{0, 4, 5, 5},
+                    Rect{1, 3, 1, 3}, Rect{0, 1, 0, 1}},
+                   {Rect{1, 2, 1, 2}, Rect{0, 1, 0, 1}, Rect{4, 5, 5, 6},
+                    Rect{2, 2, 3, 5}, Rect{0, 0, 0, 0}}});
+  return cases;
+}
+
+// Draws `draws` pairs from `sampler` (split over two queries) and checks
+// they are uniform over the enumerated join of r and s, alpha 1e-6.
+void ExpectUniformOverJoin(const std::vector<Rect>& r,
+                           const std::vector<Rect>& s,
+                           const JoinSampler& sampler, size_t draws,
+                           size_t num_threads, Rng* rng) {
+  std::vector<JoinPair> all_pairs;
+  ASSERT_EQ(EnumerateJoinPairs(r, s, &all_pairs), sampler.JoinSize());
+  ASSERT_FALSE(all_pairs.empty());
+  std::map<uint64_t, size_t> index_of;
+  for (size_t i = 0; i < all_pairs.size(); ++i) {
+    index_of[(static_cast<uint64_t>(all_pairs[i].r_id) << 32) |
+             all_pairs[i].s_id] = i;
+  }
+
+  const std::vector<JoinBatchQuery> queries = {{draws / 2},
+                                               {draws - draws / 2}};
+  BatchOptions opts;
+  opts.num_threads = num_threads;
+  ScratchArena arena;
+  JoinBatchResult result;
+  sampler.SampleJoinBatch(queries, rng, &arena, opts, &result);
+  ASSERT_EQ(result.pairs.size(), draws);
+
+  std::vector<uint64_t> counts(all_pairs.size(), 0);
+  for (const JoinPair& p : result.pairs) {
+    const auto it =
+        index_of.find((static_cast<uint64_t>(p.r_id) << 32) | p.s_id);
+    ASSERT_NE(it, index_of.end()) << "sampled pair not in the join result";
+    ++counts[it->second];
+  }
+  const std::vector<double> probs(all_pairs.size(),
+                                  1.0 / static_cast<double>(all_pairs.size()));
+  iqs::testing::ExpectDistributionClose(counts, probs);
 }
 
 uint64_t NestedLoopJoin(const std::vector<Rect>& r, const std::vector<Rect>& s,
@@ -85,17 +172,26 @@ TEST(JoinEnumerator, TouchingEdgesJoin) {
 }
 
 TEST(JoinSampler, JoinSizeMatchesEnumeration) {
-  Rng rng(7002);
-  for (int round = 0; round < 10; ++round) {
+  // Random sizes and seeds, continuous and integer-grid coordinates, so
+  // both tie-free and tie-heavy inputs (and trees of every leaf count,
+  // power of two or not) are covered.
+  for (uint64_t seed = 7002; seed < 7014; ++seed) {
+    Rng rng(seed);
     const size_t nr = 1 + rng.Below(120);
     const size_t ns = 1 + rng.Below(120);
-    const std::vector<Rect> r = RandomRects(nr, 200.0, 40.0, &rng);
-    const std::vector<Rect> s = RandomRects(ns, 200.0, 40.0, &rng);
-    // Exercise several block bases, including degenerate binary.
-    const size_t branching = 2 + rng.Below(15);
-    const JoinSampler sampler(r, s, JoinSamplerOptions{branching});
+    const bool grid = seed % 2 == 0;
+    const std::vector<Rect> r = grid ? GridRects(nr, 12, 4, &rng)
+                                     : RandomRects(nr, 200.0, 40.0, &rng);
+    const std::vector<Rect> s = grid ? GridRects(ns, 12, 4, &rng)
+                                     : RandomRects(ns, 200.0, 40.0, &rng);
+    const JoinSampler sampler(r, s);
     EXPECT_EQ(sampler.JoinSize(), EnumerateJoin(r, s, nullptr, nullptr))
-        << "branching " << branching;
+        << "seed " << seed;
+  }
+  for (const JoinCase& c : TieCases()) {
+    const JoinSampler sampler(c.r, c.s);
+    EXPECT_EQ(sampler.JoinSize(), EnumerateJoin(c.r, c.s, nullptr, nullptr))
+        << c.name;
   }
 }
 
@@ -164,33 +260,8 @@ TEST(JoinSampler, UniformOverJoinResultChiSquare) {
   const std::vector<Rect> r = RandomRects(24, 60.0, 25.0, &rng);
   const std::vector<Rect> s = RandomRects(24, 60.0, 25.0, &rng);
   const JoinSampler sampler(r, s);
-
-  std::vector<JoinPair> all_pairs;
-  ASSERT_EQ(EnumerateJoinPairs(r, s, &all_pairs), sampler.JoinSize());
-  ASSERT_GT(all_pairs.size(), 20u);
-  std::map<uint64_t, size_t> index_of;
-  for (size_t i = 0; i < all_pairs.size(); ++i) {
-    index_of[(static_cast<uint64_t>(all_pairs[i].r_id) << 32) |
-             all_pairs[i].s_id] = i;
-  }
-
-  const size_t kDraws = 400 * all_pairs.size();
-  const std::vector<JoinBatchQuery> queries = {{kDraws / 2},
-                                               {kDraws - kDraws / 2}};
-  ScratchArena arena;
-  JoinBatchResult result;
-  sampler.SampleJoinBatch(queries, &rng, &arena, &result);
-
-  std::vector<uint64_t> counts(all_pairs.size(), 0);
-  for (const JoinPair& p : result.pairs) {
-    const auto it =
-        index_of.find((static_cast<uint64_t>(p.r_id) << 32) | p.s_id);
-    ASSERT_NE(it, index_of.end()) << "sampled pair not in the join result";
-    ++counts[it->second];
-  }
-  const std::vector<double> probs(all_pairs.size(),
-                                  1.0 / static_cast<double>(all_pairs.size()));
-  iqs::testing::ExpectDistributionClose(counts, probs);
+  ASSERT_GT(sampler.JoinSize(), 20u);
+  ExpectUniformOverJoin(r, s, sampler, 400 * sampler.JoinSize(), 0, &rng);
 }
 
 // Same law through the parallel executor path.
@@ -199,33 +270,21 @@ TEST(JoinSampler, UniformOverJoinResultChiSquareParallel) {
   const std::vector<Rect> r = RandomRects(20, 60.0, 25.0, &rng);
   const std::vector<Rect> s = RandomRects(20, 60.0, 25.0, &rng);
   const JoinSampler sampler(r, s);
+  ASSERT_GT(sampler.JoinSize(), 10u);
+  ExpectUniformOverJoin(r, s, sampler, 300 * sampler.JoinSize(), 3, &rng);
+}
 
-  std::vector<JoinPair> all_pairs;
-  EnumerateJoinPairs(r, s, &all_pairs);
-  ASSERT_GT(all_pairs.size(), 10u);
-  std::map<uint64_t, size_t> index_of;
-  for (size_t i = 0; i < all_pairs.size(); ++i) {
-    index_of[(static_cast<uint64_t>(all_pairs[i].r_id) << 32) |
-             all_pairs[i].s_id] = i;
+// Same law on tie-heavy inputs, in every executor mode.
+TEST(JoinSampler, UniformOverJoinResultChiSquareWithTies) {
+  Rng rng(7011);
+  for (const JoinCase& c : TieCases()) {
+    const JoinSampler sampler(c.r, c.s);
+    for (const size_t threads : {0u, 1u, 3u}) {
+      SCOPED_TRACE(c.name + " threads " + std::to_string(threads));
+      ExpectUniformOverJoin(c.r, c.s, sampler, 300 * sampler.JoinSize(),
+                            threads, &rng);
+    }
   }
-
-  const std::vector<JoinBatchQuery> queries = {{300 * all_pairs.size()}};
-  BatchOptions opts;
-  opts.num_threads = 3;
-  ScratchArena arena;
-  JoinBatchResult result;
-  sampler.SampleJoinBatch(queries, &rng, &arena, opts, &result);
-
-  std::vector<uint64_t> counts(all_pairs.size(), 0);
-  for (const JoinPair& p : result.pairs) {
-    const auto it =
-        index_of.find((static_cast<uint64_t>(p.r_id) << 32) | p.s_id);
-    ASSERT_NE(it, index_of.end());
-    ++counts[it->second];
-  }
-  const std::vector<double> probs(all_pairs.size(),
-                                  1.0 / static_cast<double>(all_pairs.size()));
-  iqs::testing::ExpectDistributionClose(counts, probs);
 }
 
 // The brute-force baseline obeys the same law (it is the E26 comparator,
@@ -305,13 +364,69 @@ TEST(JoinSampler, SequentialModeDeterministic) {
   EXPECT_EQ(a.offsets, b.offsets);
 }
 
+// The sampler is immutable: threads sharing one const sampler, each with
+// its own Rng, arena and result, get exactly their serial outputs.
+TEST(JoinSampler, ConcurrentBatchesMatchSerial) {
+  Rng data_rng(7012);
+  const std::vector<Rect> r = RandomRects(300, 200.0, 30.0, &data_rng);
+  const std::vector<Rect> s = RandomRects(280, 200.0, 30.0, &data_rng);
+  const JoinSampler sampler(r, s);
+  ASSERT_GT(sampler.JoinSize(), 0u);
+  const std::vector<JoinBatchQuery> queries = {{500}, {3}, {0}, {64}};
+  constexpr size_t kThreads = 4;
+  constexpr int kRounds = 5;
+
+  std::vector<JoinBatchResult> serial(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    Rng rng(900 + t);
+    ScratchArena arena;
+    for (int round = 0; round < kRounds; ++round) {
+      sampler.SampleJoinBatch(queries, &rng, &arena, &serial[t]);
+    }
+  }
+
+  std::vector<JoinBatchResult> concurrent(kThreads);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(900 + t);
+      ScratchArena arena;
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        sampler.SampleJoinBatch(queries, &rng, &arena, &concurrent[t]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(concurrent[t].pairs, serial[t].pairs) << "thread " << t;
+    EXPECT_EQ(concurrent[t].offsets, serial[t].offsets) << "thread " << t;
+    EXPECT_EQ(concurrent[t].resolved, serial[t].resolved) << "thread " << t;
+  }
+}
+
+TEST(JoinSamplerDeathTest, RejectsMalformedRects) {
+  const std::vector<Rect> good = {Rect{0.0, 1.0, 0.0, 1.0}};
+  const std::vector<Rect> inverted_x = {Rect{2.0, 1.0, 0.0, 1.0}};
+  const std::vector<Rect> inverted_y = {Rect{0.0, 1.0, 3.0, 1.0}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Rect> nan_coord = {Rect{0.0, 1.0, nan, 1.0}};
+  EXPECT_DEATH(JoinSampler(inverted_x, good), "x_lo <= rect.x_hi");
+  EXPECT_DEATH(JoinSampler(good, inverted_y), "y_lo <= rect.y_hi");
+  EXPECT_DEATH(JoinSampler(good, nan_coord), "y_lo <= rect.y_hi");
+}
+
 TEST(JoinSampler, MemoryBytesAccounted) {
   Rng rng(7009);
   const std::vector<Rect> r = RandomRects(64, 100.0, 20.0, &rng);
   const std::vector<Rect> s = RandomRects(64, 100.0, 20.0, &rng);
   const JoinSampler sampler(r, s);
-  // Two trees over 64 rects each, plus events and weights.
-  EXPECT_GT(sampler.MemoryBytes(), 64u * 2 * sizeof(Rect));
+  // Every rectangle sits in about log n lists of its relation's tree,
+  // plus its ranks and alias urn.
+  EXPECT_GT(sampler.MemoryBytes(), 128u * 8 * sizeof(uint32_t));
 }
 
 }  // namespace

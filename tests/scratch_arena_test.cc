@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory_resource>
 #include <numeric>
 #include <vector>
 
@@ -69,6 +70,23 @@ TEST(ScratchArenaTest, AlignmentRespected) {
   arena.Alloc<uint8_t>(1);
   const auto u = arena.Alloc<uint64_t>(2);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(u.data()) % alignof(uint64_t), 0u);
+}
+
+// As a memory_resource the arena backs growing containers built inside
+// one cycle; they count toward its capacity and, once warm, allocate
+// nothing from the heap.
+TEST(ScratchArenaTest, BacksPmrContainers) {
+  ScratchArena arena(64);
+  size_t warm_blocks = 0;
+  for (int round = 0; round < 4; ++round) {
+    arena.Reset();
+    std::pmr::vector<uint64_t> v(&arena);
+    for (uint64_t i = 0; i < 1000; ++i) v.push_back(i);
+    EXPECT_EQ(std::accumulate(v.begin(), v.end(), uint64_t{0}), 499500u);
+    EXPECT_GE(arena.capacity_bytes(), 1000 * sizeof(uint64_t));
+    if (round == 1) warm_blocks = arena.blocks_allocated();
+  }
+  EXPECT_EQ(arena.blocks_allocated(), warm_blocks);
 }
 
 }  // namespace
