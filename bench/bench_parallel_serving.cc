@@ -1,18 +1,19 @@
-// E21 — parallel batch serving (BatchOptions{num_threads}).
+// E21 — block-parallel batch serving (BatchOptions{num_threads}).
 //
 // Sweeps threads x n x s over the three 1-d RangeSampler implementations,
-// comparing the sequential QueryBatch path (num_threads = 0) against the
-// deterministic parallel mode at 1, 2, 4 and 8 threads with a persistent
-// ThreadPool (the recommended serving setup: pool construction is paid
-// once, not per batch). The parallel mode re-keys every query onto its own
-// RNG substream, so its output is bit-identical for every thread count;
-// the sweep measures the pure scheduling + sharding cost/benefit.
+// comparing the inline QueryBatch path (num_threads = 0, the default)
+// against the same batches sharded over a persistent ThreadPool at 1, 2,
+// 4 and 8 threads (the recommended serving setup: pool construction is
+// paid once, not per batch). Every run shares one RNG contract — blocks
+// of ~1024 samples on substreams of one batch key — so the output is
+// byte-identical for every thread count, 0 included; the sweep measures
+// the pure scheduling + sharding cost/benefit.
 //
-// threads = 1 isolates the overhead of the substream mode itself
-// (ForkStream per query, two-pass split/draw) with no parallelism; the
-// speedup column for k >= 2 divides by that one-thread parallel-mode
-// baseline so it reflects scaling, while "x seq" compares against the
-// sequential path a caller would otherwise use.
+// threads = 1 with a pool puts the blocks through the pool's one worker
+// (the caller), isolating the pool-path overhead with no parallelism; the
+// speedup column for k >= 2 divides by that one-thread baseline so it
+// reflects scaling, while "x seq" compares against the inline path a
+// caller would otherwise use.
 //
 // Reports samples/sec and writes BENCH_parallel_serving.json (array of
 // row objects) for trajectory tracking.
@@ -62,7 +63,7 @@ struct Row {
   size_t n = 0;
   size_t batch = 0;
   size_t s = 0;
-  size_t threads = 0;  // 0 = sequential legacy path
+  size_t threads = 0;  // 0 = inline (no pool)
   double sps = 0.0;
   double speedup_vs_seq = 0.0;
   double speedup_vs_t1 = 0.0;
@@ -75,7 +76,7 @@ int main() {
   constexpr size_t kBatch = 256;
 
   std::printf(
-      "E21: parallel batch serving throughput (samples/sec) — sequential "
+      "E21: parallel batch serving throughput (samples/sec) — inline "
       "QueryBatch vs BatchOptions{num_threads} with a persistent pool\n");
   std::printf("%-22s %9s %6s %5s %8s %11s %7s %7s\n", "sampler", "n", "batch",
               "s", "threads", "sps", "x seq", "x t1");

@@ -1,15 +1,16 @@
 // Parallel batch serving: BatchOptions{num_threads} on BstRangeSampler.
 //
-// Serves one batch of range-sampling queries twice — sequentially, then in
-// the deterministic parallel mode on a persistent thread pool — and prints
-// the wall-clock for each. The parallel mode keys every query onto its own
-// RNG substream (Rng::ForkStream), so its output is bit-identical for
-// every thread count under a fixed seed; the demo checks that too.
+// Serves one batch of range-sampling queries twice — inline on the caller,
+// then sharded over a persistent thread pool — and prints the wall-clock
+// for each. The executor cuts the batch into blocks of queries, each on
+// its own RNG substream (Rng::ForkStream) of one batch key, so the output
+// is byte-identical for every thread count under a fixed seed; the demo
+// checks that too.
 //
 //   cmake --build build && ./build/examples/parallel_batch_demo
 //
 // Note: the speedup is bounded by the machine — on a single-core box the
-// parallel mode can only match the sequential path.
+// pool can only match the inline path.
 
 #include <algorithm>
 #include <chrono>
@@ -52,7 +53,7 @@ int main() {
     queries.push_back({lo, hi, 256});
   }
 
-  // 3. Sequential baseline (BatchOptions{} == legacy single-thread path).
+  // 3. Inline baseline (BatchOptions{}: blocks run on the caller).
   iqs::ScratchArena arena;
   iqs::BatchResult sequential;
   iqs::Rng seq_rng(7);
@@ -75,8 +76,8 @@ int main() {
   std::printf("parallel (%2zu threads): %7.1f ms — %.2fx\n", cores,
               1e3 * par_secs, seq_secs / par_secs);
 
-  // 5. Determinism: the SAME seed at any other thread count reproduces the
-  //    parallel output byte for byte (sharding never touches the law).
+  // 5. Determinism: the SAME seed at any other thread count, 0 included,
+  //    reproduces the output byte for byte (sharding never touches it).
   iqs::BatchOptions two;
   two.num_threads = 2;
   iqs::BatchResult check;
@@ -84,5 +85,7 @@ int main() {
   sampler.QueryBatch(queries, &check_rng, &arena, two, &check);
   std::printf("bit-identical at 2 threads vs %zu: %s\n", cores,
               check.positions == parallel.positions ? "yes" : "NO (bug!)");
+  std::printf("bit-identical inline vs %zu threads: %s\n", cores,
+              sequential.positions == parallel.positions ? "yes" : "NO (bug!)");
   return 0;
 }

@@ -3,23 +3,38 @@
 //
 // Every serving path in the library funnels through this layer: a
 // structure enumerates each query's weighted disjoint groups into a
-// CoverPlan, and the executor runs the whole batch through one pipeline —
-// per-query multinomial budget splits (inverse-CDF with block RNG), flat
-// per-group output offsets, arena scratch, and a single invocation of the
-// structure's draw backend over ALL draws of the batch, so backend cache
-// misses (tree-node loads, alias-urn loads) overlap across queries
-// instead of serializing inside each one.
+// CoverPlan, and the executor runs the batch through one pipeline —
+// per-query multinomial budget splits (inverse-CDF with block RNG), arena
+// scratch, and the structure's grouped draw kernel invoked once per BLOCK
+// of queries, so backend cache misses (tree-node loads, alias-urn loads)
+// overlap across the block's queries instead of serializing inside each
+// one.
 //
-// Two consumption styles:
-//   * Execute(plan, ..., backend): for structures with their own grouped
-//     draw kernel (StaticBst lane descents, per-node alias pipelines).
-//     `backend(ctx)` receives the split and the flat destination and
-//     draws every sample of the batch in one pass.
-//   * ExecuteOverSampler(plan, sampler, ...): for structures whose groups
-//     are plain position ranges over one RangeSampler (CoverageEngine,
-//     subtree Euler intervals, the integer sampler). Lowers nonzero
-//     groups to PositionQuery spans and runs the sampler's own
+// The RNG contract (the only one in the library): a batch takes ONE key
+// word from the caller's Rng and is cut into blocks of consecutive
+// queries; a block closes once its samples reach kBlockSamples. Block 0
+// draws from Rng(key), block b >= 1 from Rng(key).ForkStream(b), so a
+// one-block batch pays no fork. Block boundaries depend only on the plan,
+// never on the thread count; with num_threads <= 1 and no pool the blocks
+// run inline on the caller (its arena, never Reset mid-batch), otherwise
+// they are sharded over the pool. Either way each block writes a fixed
+// slice of the output from its own stream, so the output is byte-
+// identical for every num_threads. Each query's draws follow its law and
+// are independent of every other query's — across blocks by the
+// substreams, within a block because the queries' splits and draws are
+// disjoint pieces of one stream.
+//
+// Consumption styles:
+//   * Execute(plan, ..., draw, out): for structures with their own
+//     grouped draw kernel (StaticBst lane descents, per-node alias
+//     pipelines); `draw` receives one block at a time.
+//   * ExecuteOverSampler(plan, sampler, ..., out): for structures whose
+//     groups are plain position ranges over one RangeSampler
+//     (CoverageEngine, subtree Euler intervals). Each block lowers its
+//     nonzero groups to PositionQuery spans and runs the sampler's own
 //     QueryPositionsBatch once.
+//   * RunBlocks: the block machinery alone, for batches whose unit of
+//     work is not a plan query (the range trees' coalesced runs).
 //
 // Snapshot discipline (util/epoch.h): the executor itself is stateless —
 // a run reads only the plan and the backend it was handed, so concurrency
@@ -36,11 +51,8 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "iqs/cover/cover_plan.h"
-#include "iqs/sampling/multinomial.h"
 #include "iqs/util/batch_options.h"
 #include "iqs/util/function_ref.h"
 #include "iqs/util/rng.h"
@@ -51,92 +63,86 @@ namespace iqs {
 
 class RangeSampler;
 
-// Result of the budget-splitting stage, arena-resident. For group g of
-// the plan, counts[g] samples are owed and must be written to
-// dst[offsets[g] .. offsets[g+1]); queries stay contiguous in dst because
-// a query's groups are contiguous in the plan.
+// Result of a whole-plan budget split, arena-resident. For group g of
+// the plan, counts[g] samples are owed and go to dst[offsets[g] ..
+// offsets[g+1]); queries stay contiguous in dst because a query's groups
+// are contiguous in the plan.
 struct CoverSplit {
   std::span<const uint32_t> counts;  // per group
   std::span<const size_t> offsets;   // per group, size num_groups() + 1
   size_t total = 0;                  // == offsets.back()
 };
 
+// One block handed to a draw kernel: the plan groups [first_group,
+// end_group) of a run of whole queries, already split. The kernel must
+// write exactly counts[g] draws for each of those groups into `dst`,
+// group after group in plan order (dst.size() is their sum), drawing only
+// from `rng` with scratch from `arena`. Blocks may run concurrently;
+// `worker` names the executing pool worker (0 inline), so a kernel may
+// record into telemetry shard(worker) race-free.
+struct CoverBlock {
+  const CoverPlan& plan;
+  std::span<const uint32_t> counts;  // per plan group; this block's are set
+  size_t first_group;
+  size_t end_group;
+  std::span<size_t> dst;
+  size_t worker;
+  Rng* rng;
+  ScratchArena* arena;
+};
+
 class CoverExecutor {
  public:
-  // Stage 1: splits every query's budget Multinomial(s; group weights)
-  // and lays out flat output offsets. O(groups + total samples) with all
-  // scratch from `arena`. When `sink` is non-null the batch's queries,
-  // cover_groups and split-stage rng_draws (one double per sample of
-  // every query with >= 2 groups; single-group queries shortcut with no
-  // randomness) are recorded into shard 0 — the split stage OWNS these
-  // counters (see telemetry.h), so nested pipelines never double-count.
+  // A block closes once its samples reach this count: 16 queries at
+  // s = 64, 128 at s = 8 — enough for a grouped kernel to overlap its
+  // misses, few enough that a batch yields shardable work.
+  static constexpr size_t kBlockSamples = 1024;
+
+  // Splits every query's budget Multinomial(s; group weights) from `rng`
+  // and lays out flat output offsets, for callers that serve draws
+  // themselves (range trees, the logarithmic sampler). O(groups + total
+  // samples) with all scratch from `arena`. When `sink` is non-null the
+  // plan's queries, cover_groups and split rng_draws (one double per
+  // sample of every query with >= 2 groups; single-group queries
+  // shortcut with no randomness) are recorded into shard 0 — the split
+  // stage OWNS these counters (see telemetry.h).
   static CoverSplit Split(const CoverPlan& plan, Rng* rng,
                           ScratchArena* arena, TelemetrySink* sink = nullptr);
 
-  // Full pipeline for structures with a custom grouped draw kernel.
-  // Appends plan.TotalSamples() positions to `out`; `backend` is invoked
-  // once (when there is work) as backend(plan, split, dst) with dst the
-  // flat destination span, and must write dst[offsets[g] ..) for every
-  // group g. Draws for query q land contiguously, in group order — the
-  // usual i.i.d.-multiset ORDERING CONTRACT (see RangeSampler).
-  // opts carries the telemetry sink (samples_emitted, arena high-water);
-  // threading fields are ignored — parallel draws go through
-  // ExecuteParallel.
-  template <typename DrawBackend>
-  static void Execute(const CoverPlan& plan, Rng* rng, ScratchArena* arena,
-                      const BatchOptions& opts, DrawBackend&& backend,
-                      std::vector<size_t>* out) {
-    IQS_CHECK(opts.max_batch == 0 || plan.num_queries() <= opts.max_batch);
-    const CoverSplit split = Split(plan, rng, arena, opts.telemetry);
-    if (split.total == 0) return;
-    const size_t base = out->size();
-    out->resize(base + split.total);
-    backend(plan, split,
-            std::span<size_t>(*out).subspan(base, split.total));
-    if (opts.telemetry != nullptr) {
-      QueryStats* stats = &opts.telemetry->shard(0)->stats;
-      stats->samples_emitted += split.total;
-      if (arena->capacity_bytes() > stats->arena_bytes_hwm) {
-        stats->arena_bytes_hwm = arena->capacity_bytes();
-      }
-    }
-  }
+  // The block machinery on its own. Items [0, n) carry samples(i) draws
+  // each; they are cut into blocks of consecutive items under the RNG
+  // contract above (one key word from `rng`, exactly), and
+  // fn(first, last, base, worker, block_rng, scratch) runs once per block
+  // [first, last), where base is the sum of samples() over items before
+  // `first` — the block's offset in a flat output. Inline runs pass the
+  // caller's `arena`; pooled runs a worker arena Reset before each block.
+  using BlockFn = FunctionRef<void(size_t first, size_t last, size_t base,
+                                   size_t worker, Rng* rng,
+                                   ScratchArena* arena)>;
+  static void RunBlocks(size_t n, FunctionRef<size_t(size_t)> samples,
+                        Rng* rng, ScratchArena* arena,
+                        const BatchOptions& opts, BlockFn fn);
 
-  // Full pipeline for plans whose groups are position ranges over
-  // `sampler`. Sequential mode lowers the nonzero groups to PositionQuery
-  // spans and runs the sampler's QueryPositionsBatch once over the whole
-  // batch; parallel mode (opts.num_threads >= 1) draws each query through
-  // its own substream — see ExecuteParallel for the determinism contract.
+  // Full pipeline for structures with a custom grouped draw kernel:
+  // splits each block's queries from the block's stream, then calls
+  // draw(block) (skipped for blocks that owe nothing). `out` must have
+  // exactly plan.TotalSamples() entries; query q's draws land contiguously,
+  // in group order — the usual i.i.d.-multiset ORDERING CONTRACT (see
+  // RangeSampler). opts selects where blocks run and carries the
+  // telemetry sink, which records the batch counters into shard 0 and
+  // never touches an Rng.
+  using CoverDrawFn = FunctionRef<void(const CoverBlock&)>;
+  static void Execute(const CoverPlan& plan, Rng* rng, ScratchArena* arena,
+                      const BatchOptions& opts, CoverDrawFn draw,
+                      std::span<size_t> out);
+
+  // Execute for plans whose groups are position ranges over `sampler`:
+  // each block's nonzero groups become one QueryPositionsBatch call of
+  // the sampler, run inline on the block's stream.
   static void ExecuteOverSampler(const CoverPlan& plan,
                                  const RangeSampler& sampler, Rng* rng,
                                  ScratchArena* arena, const BatchOptions& opts,
-                                 std::vector<size_t>* out);
-
-  // Per-query draw callback for the parallel pipeline. Must write
-  // dst[split.offsets[g] .. split.offsets[g+1]) for every group g of query
-  // q — nothing else — drawing only from `rng` (the query's substream,
-  // already advanced past its budget split) with scratch from `arena`
-  // (the worker's, Reset before the call). Runs concurrently for
-  // different q; `worker` identifies the executing pool worker so the
-  // callback may record into a telemetry shard race-free.
-  using CoverQueryDrawFn =
-      FunctionRef<void(const CoverPlan&, const CoverSplit&,
-                       std::span<size_t> dst, size_t q, size_t worker,
-                       Rng* rng, ScratchArena* arena)>;
-
-  // Parallel pipeline (opts.num_threads >= 1 required; see BatchOptions
-  // for the mode semantics). Consumes ONE word of `rng` as the batch key,
-  // then runs both the budget splits and the draws under per-query
-  // ForkStream substreams, sharded over the pool in contiguous query
-  // ranges — so the appended output is bit-identical for every thread
-  // count. Same output layout and ordering contract as Execute; `arena`
-  // (the caller's) holds the split and substream state, per-worker draw
-  // scratch comes from the pool. Telemetry (opts.telemetry) records the
-  // batch-level counters into shard 0 on the calling thread — recording
-  // never draws randomness, so attaching a sink cannot change any sample.
-  static void ExecuteParallel(const CoverPlan& plan, Rng* rng,
-                              ScratchArena* arena, const BatchOptions& opts,
-                              CoverQueryDrawFn draw, std::vector<size_t>* out);
+                                 std::span<size_t> out);
 };
 
 }  // namespace iqs

@@ -75,6 +75,14 @@ class CoverPlan {
     budgets_.clear();
   }
 
+  // Capacity for `queries` queries and `groups` groups, so an
+  // arena-resident plan with a known bound is built without regrowth.
+  void Reserve(size_t queries, size_t groups) {
+    groups_.reserve(groups);
+    query_first_.reserve(queries);
+    budgets_.reserve(queries);
+  }
+
   // Starts the next query of the batch with sample budget `s`.
   void BeginQuery(size_t s) {
     query_first_.push_back(groups_.size());

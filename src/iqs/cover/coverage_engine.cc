@@ -17,13 +17,6 @@ std::vector<double> PositionKeys(size_t n) {
   return keys;
 }
 
-// Single-query entry points share per-thread serving state so they ride
-// the batched pipeline without a signature change.
-ScratchArena* LocalArena() {
-  thread_local ScratchArena arena;
-  return &arena;
-}
-
 }  // namespace
 
 CoverageEngine::CoverageEngine(std::span<const double> position_weights,
@@ -34,7 +27,10 @@ CoverageEngine::CoverageEngine(std::span<const double> position_weights,
 void CoverageEngine::SampleBatch(const CoverPlan& plan, Rng* rng,
                                  ScratchArena* arena, const BatchOptions& opts,
                                  std::vector<size_t>* out) const {
-  CoverExecutor::ExecuteOverSampler(plan, sampler_, rng, arena, opts, out);
+  const size_t base = out->size();
+  out->resize(base + plan.TotalSamples());
+  CoverExecutor::ExecuteOverSampler(plan, sampler_, rng, arena, opts,
+                                    std::span<size_t>(*out).subspan(base));
 }
 
 void CoverageEngine::SampleBatch(const CoverPlan& plan, Rng* rng,
@@ -46,16 +42,14 @@ void CoverageEngine::SampleBatch(const CoverPlan& plan, Rng* rng,
 void CoverageEngine::Sample(std::span<const CoverRange> cover, size_t s,
                             Rng* rng, std::vector<size_t>* out) const {
   if (s == 0 || cover.empty()) return;
-  thread_local CoverPlan plan;
-  plan.Clear();
+  ScratchArena arena;
+  CoverPlan plan(&arena);
   plan.BeginQuery(s);
   for (const CoverRange& range : cover) {
     IQS_DCHECK(range.lo <= range.hi);
     plan.AddGroup(range);
   }
-  ScratchArena* arena = LocalArena();
-  arena->Reset();
-  SampleBatch(plan, rng, arena, out);
+  SampleBatch(plan, rng, &arena, out);
 }
 
 void CoverageEngine::SampleWithRejection(std::span<const CoverRange> cover,
@@ -65,7 +59,7 @@ void CoverageEngine::SampleWithRejection(std::span<const CoverRange> cover,
                                          const BatchOptions& opts,
                                          std::vector<size_t>* out) const {
   if (s == 0 || cover.empty()) return;
-  thread_local CoverPlan plan;
+  CoverPlan plan(arena);
   out->reserve(out->size() + s);
   const size_t base = out->size();
   size_t produced = 0;
@@ -78,21 +72,16 @@ void CoverageEngine::SampleWithRejection(std::span<const CoverRange> cover,
   uint64_t attempts = 0;
   while (produced < s) {
     const size_t deficit = s - produced;
+    // Cut the deficit into sub-queries of one executor block each, so a
+    // single large query still yields shardable blocks. The slicing
+    // depends only on the deficit and slices land contiguously in plan
+    // order, so the round's candidate block is byte-identical for every
+    // thread count, and the sequential compaction below keeps it so.
     plan.Clear();
-    if (opts.sequential()) {
-      plan.BeginQuery(deficit);
+    for (size_t done = 0; done < deficit;
+         done += CoverExecutor::kBlockSamples) {
+      plan.BeginQuery(std::min(CoverExecutor::kBlockSamples, deficit - done));
       for (const CoverRange& range : cover) plan.AddGroup(range);
-    } else {
-      // Cut the deficit into fixed-size sub-queries: the slicing depends
-      // only on the deficit (never on the thread count), each slice runs
-      // under its own substream, and slices land contiguously in plan
-      // order — so the round's candidate block is bit-identical for every
-      // thread count, and the sequential compaction below keeps it so.
-      constexpr size_t kSlice = 1024;
-      for (size_t done = 0; done < deficit; done += kSlice) {
-        plan.BeginQuery(std::min(kSlice, deficit - done));
-        for (const CoverRange& range : cover) plan.AddGroup(range);
-      }
     }
     SampleBatch(plan, rng, arena, opts, out);
     size_t write = base + produced;
@@ -128,9 +117,8 @@ void CoverageEngine::SampleWithRejection(std::span<const CoverRange> cover,
                                          FunctionRef<bool(size_t)> accepts,
                                          Rng* rng,
                                          std::vector<size_t>* out) const {
-  ScratchArena* arena = LocalArena();
-  arena->Reset();
-  SampleWithRejection(cover, s, accepts, rng, arena, BatchOptions{}, out);
+  ScratchArena arena;
+  SampleWithRejection(cover, s, accepts, rng, &arena, BatchOptions{}, out);
 }
 
 VersionedCoverageEngine::VersionedCoverageEngine(

@@ -61,9 +61,9 @@ class CoverageEngine {
   // plan.TotalSamples() positions to `out`, contiguous per query in plan
   // order, via one CoverExecutor run over the chunked sampler's batched
   // path. All scratch from `arena`; zero steady-state heap allocations
-  // with a reused arena. opts selects threading (num_threads >= 1 serves
-  // in the deterministic parallel mode — bit-identical output across
-  // thread counts) and carries the telemetry sink.
+  // with a reused arena. opts decides where the executor's blocks run
+  // (output byte-identical for every num_threads) and carries the
+  // telemetry sink.
   void SampleBatch(const CoverPlan& plan, Rng* rng, ScratchArena* arena,
                    const BatchOptions& opts, std::vector<size_t>* out) const;
 
@@ -77,12 +77,10 @@ class CoverageEngine {
   // constant-density approximate cover. `cover_element_weight` of each
   // range must count all elements in the range (qualifying or not).
   // `accepts` is a non-owning FunctionRef — no allocation per call — and
-  // all retry scratch comes from `arena`. In parallel mode
-  // (opts.num_threads >= 1) each retry round's deficit is cut into
-  // fixed-size sub-queries (so shardable work exists even for one big
-  // query) served under per-sub-query substreams; the acceptance
-  // filtering stays sequential. Output is bit-identical across thread
-  // counts. With a telemetry sink attached, rejection_attempts counts
+  // all retry scratch comes from `arena`. Each retry round's deficit is
+  // cut into sub-queries of one executor block each (so shardable work
+  // exists even for one big query); the acceptance filtering stays on
+  // the caller. Output is byte-identical for every num_threads. With a telemetry sink attached, rejection_attempts counts
   // every candidate tested through `accepts` and rejection_rounds every
   // retry round (telemetry_test cross-checks both against ground truth).
   void SampleWithRejection(std::span<const CoverRange> cover, size_t s,
@@ -96,7 +94,7 @@ class CoverageEngine {
                            ScratchArena* arena,
                            std::vector<size_t>* out) const;
 
-  // Convenience overload using the engine's thread-local arena.
+  // Convenience overload using a call-local arena.
   void SampleWithRejection(std::span<const CoverRange> cover, size_t s,
                            FunctionRef<bool(size_t)> accepts, Rng* rng,
                            std::vector<size_t>* out) const;

@@ -4,14 +4,12 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "iqs/cover/cover_executor.h"
 #include "iqs/cover/cover_plan.h"
 #include "iqs/join/join_batch.h"
 #include "iqs/multidim/point.h"
-#include "iqs/range/range_sampler.h"
 #include "iqs/util/batch_options.h"
 #include "iqs/util/check.h"
 #include "iqs/util/rng.h"
@@ -97,29 +95,6 @@ class CountFenwick {
 
  private:
   std::vector<uint32_t> tree_;
-};
-
-// The uniform view of the slot array that CoverExecutor draws through:
-// every slot of a group's run is equally likely. Keyless, so it costs
-// nothing to stand up per batch.
-class SlotView final : public RangeSampler {
- public:
-  explicit SlotView(size_t num_slots) : num_slots_(num_slots) {}
-
-  size_t n() const override { return num_slots_; }
-
-  void QueryPositions(size_t a, size_t b, size_t s, Rng* rng,
-                      std::vector<size_t>* out) const override {
-    IQS_DCHECK(a <= b && b < n());
-    for (size_t i = 0; i < s; ++i) {
-      out->push_back(a + static_cast<size_t>(rng->Below(b - a + 1)));
-    }
-  }
-  size_t MemoryBytes() const override { return 0; }
-  std::string_view name() const override { return "join-slots"; }
-
- private:
-  size_t num_slots_;
 };
 
 // Phase-3 bookkeeping per plan query: the batch query it serves and its
@@ -325,8 +300,8 @@ void JoinSampler::SampleJoinBatch(std::span<const JoinBatchQuery> queries,
   // Phase 2: alias-assign every slot to its anchor's x-rank, then sort
   // the (x-rank, query) keys so equal keys run together and anchors come
   // in x order (neighbouring covers share tree paths). All alias draws
-  // happen before any executor fork, so this stage is identical for
-  // every opts threading mode.
+  // happen on the caller's stream before the executor runs, so this stage
+  // is identical for every opts.num_threads.
   std::span<size_t> keys = arena->Alloc<size_t>(total);
   size_t k = 0;
   for (size_t q = 0; q < nq; ++q) {
@@ -361,11 +336,21 @@ void JoinSampler::SampleJoinBatch(std::span<const JoinBatchQuery> queries,
   // contract does not apply below this point.
   BatchOptions inner = opts;
   inner.max_batch = 0;
-  std::vector<size_t> positions;
-  positions.reserve(total);
-  CoverExecutor::ExecuteOverSampler(plan, SlotView(slots_.size()), rng, arena,
-                                    inner, &positions);
-  IQS_DCHECK(positions.size() == total);
+  // Every slot of a group's run is equally likely.
+  const std::span<size_t> positions = arena->Alloc<size_t>(total);
+  CoverExecutor::Execute(
+      plan, rng, arena, inner,
+      [](const CoverBlock& block) {
+        const std::span<const CoverGroup> groups = block.plan.groups();
+        size_t d = 0;
+        for (size_t g = block.first_group; g < block.end_group; ++g) {
+          const uint64_t width = groups[g].hi - groups[g].lo + 1;
+          for (uint32_t k = 0; k < block.counts[g]; ++k) {
+            block.dst[d++] = groups[g].lo + block.rng->Below(width);
+          }
+        }
+      },
+      positions);
 
   // Scatter: per-query write cursors keep each query's pairs contiguous.
   std::span<size_t> cursors = arena->Alloc<size_t>(nq);

@@ -39,10 +39,10 @@
 //      node lists (2 log n canonical nodes of the corner query, log n
 //      path nodes of the stab query), each a contiguous run after two
 //      binary searches — a CoverPlan group weighted by its length. The
-//      whole batch is drawn by one CoverExecutor::ExecuteOverSampler
-//      call over a uniform view of the slot array: no bespoke draw loop,
-//      and the multinomial split, per-query substreams, parallelism and
-//      telemetry are the shared executor pipeline.
+//      whole batch is drawn by one CoverExecutor::Execute call whose
+//      kernel picks a uniform slot of each group's run; the multinomial
+//      split, block substreams, parallelism and telemetry are the shared
+//      executor pipeline.
 //
 // Costs for n = |R| + |S| rectangles: construction O(n log n); space
 // O(n log n) (each rectangle sits in about log n point lists and at most
@@ -55,10 +55,8 @@
 // (each with its own Rng, arena and result); opts.num_threads adds
 // executor parallelism within a batch.
 //
-// Determinism: fixed seed + fixed inputs give byte-identical batches;
-// parallel mode (num_threads >= 1) is bit-identical for EVERY thread
-// count (the executor's per-query substream contract), sequential mode
-// (num_threads == 0) is a different, also-deterministic stream.
+// Determinism: fixed seed + fixed inputs give byte-identical batches,
+// for every opts.num_threads (the executor's block substream contract).
 
 #ifndef IQS_JOIN_JOIN_SAMPLER_H_
 #define IQS_JOIN_JOIN_SAMPLER_H_

@@ -41,9 +41,8 @@ class KdTreeSampler {
   // as QueryRect; draws are independent across queries. All scratch comes
   // from `arena`; with a reused arena and result the steady state performs
   // zero heap allocations beyond retained capacity.
-  // opts.num_threads >= 1 serves the batch in the deterministic parallel
-  // mode, opts.telemetry attaches an observability sink (see
-  // BatchOptions). Canonical order (queries, rng, arena, opts, &result).
+  // opts decides where the executor's blocks run, never the output;
+  // opts.telemetry attaches an observability sink (see BatchOptions). Canonical order (queries, rng, arena, opts, &result).
   void QueryBatch(std::span<const RectBatchQuery> queries, Rng* rng,
                   ScratchArena* arena, const BatchOptions& opts,
                   PointBatchResult* result) const;

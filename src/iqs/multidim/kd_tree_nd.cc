@@ -130,9 +130,8 @@ void KdTreeNdSampler::QueryBatch(std::span<const BoxBatchQuery> queries,
   const uint64_t start_ns = opts.telemetry != nullptr ? TelemetryNowNs() : 0;
   result->Clear();
   arena->Reset();
-  thread_local CoverPlan plan;
+  CoverPlan plan(arena);
   thread_local std::vector<CoverRange> cover;
-  plan.Clear();
   const size_t q = queries.size();
   result->resolved.resize(q);
   result->offsets.resize(q + 1);

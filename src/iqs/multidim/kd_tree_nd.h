@@ -129,8 +129,8 @@ class KdTreeNdSampler {
   // every box once, then serves all draws of the batch through one
   // CoverExecutor run over the shared coverage engine. result->positions
   // holds positions; resolve via tree().PointAt.
-  // opts.num_threads >= 1 serves the batch in the deterministic parallel
-  // mode (see BatchOptions). Canonical order
+  // opts decides where the executor's blocks run, never the output
+  // (see BatchOptions). Canonical order
   // (queries, rng, arena, opts, &result).
   void QueryBatch(std::span<const BoxBatchQuery> queries, Rng* rng,
                   ScratchArena* arena, const BatchOptions& opts,

@@ -72,10 +72,9 @@ void ServeRectBatch(const Tree& tree, const CoverageEngine& engine,
   const uint64_t start_ns = opts.telemetry != nullptr ? TelemetryNowNs() : 0;
   result->Clear();
   arena->Reset();
-  thread_local CoverPlan plan;
+  CoverPlan plan(arena);
   thread_local std::vector<CoverRange> cover;
   thread_local std::vector<size_t> positions;
-  plan.Clear();
   const size_t q = queries.size();
   result->resolved.resize(q);
   result->offsets.resize(q + 1);

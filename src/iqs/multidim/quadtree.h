@@ -83,8 +83,8 @@ class QuadtreeSampler {
 
   // Batched serving fast path — one CoverExecutor run over the whole
   // batch; see KdTreeSampler::QueryBatch. Canonical order
-  // (queries, rng, arena, opts, &result); opts.num_threads >= 1 serves
-  // the batch in the deterministic parallel mode (see BatchOptions).
+  // (queries, rng, arena, opts, &result); opts decides where the
+  // executor's blocks run, never the output (see BatchOptions).
   void QueryBatch(std::span<const RectBatchQuery> queries, Rng* rng,
                   ScratchArena* arena, const BatchOptions& opts,
                   PointBatchResult* result) const;

@@ -236,10 +236,8 @@ void RangeTree2DSampler::QueryBatch(std::span<const RectBatchQuery> queries,
   };
   result->Clear();
   arena->Reset();
-  thread_local CoverPlan plan;
+  CoverPlan plan(arena);
   thread_local std::vector<Piece> pieces;
-  thread_local std::vector<size_t> positions;
-  plan.Clear();
   pieces.clear();
   const size_t nq = queries.size();
   result->resolved.resize(nq);
@@ -290,9 +288,9 @@ void RangeTree2DSampler::QueryBatch(std::span<const RectBatchQuery> queries,
   // at split.offsets[g] of the flat output, which keeps every query's
   // slice contiguous regardless of the serving order.
   //
-  // `pieces`/`plan` are thread_local, so lambdas that may run on pool
-  // workers must go through these caller-bound views — a bare `pieces`
-  // inside the lambda would resolve to the worker's own (empty) instance.
+  // `pieces` is thread_local, so lambdas that may run on pool workers
+  // must go through this caller-bound view — a bare `pieces` inside the
+  // lambda would resolve to the worker's own (empty) instance.
   const std::span<const Piece> batch_pieces(pieces);
   const std::span<const CoverGroup> groups = plan.groups();
   const std::span<uint32_t> order = arena->Alloc<uint32_t>(groups.size());
@@ -309,73 +307,55 @@ void RangeTree2DSampler::QueryBatch(std::span<const RectBatchQuery> queries,
 
   // Run boundaries over the sorted order: one run per secondary node.
   const std::span<size_t> run_start = arena->Alloc<size_t>(active + 1);
+  const std::span<size_t> run_samples = arena->Alloc<size_t>(active);
   size_t num_runs = 0;
   for (size_t k = 0; k < active;) {
-    run_start[num_runs++] = k;
+    run_start[num_runs] = k;
+    run_samples[num_runs] = 0;
     const uint32_t node_id = batch_pieces[groups[order[k]].tag].node;
     while (k < active && batch_pieces[groups[order[k]].tag].node == node_id) {
+      run_samples[num_runs] += split.counts[order[k]];
       ++k;
     }
+    ++num_runs;
   }
   run_start[num_runs] = active;
 
-  // Serves run r (groups order[run_start[r] .. run_start[r+1])) with the
-  // given rng/scratch/staging buffer. Each group's draws land at
-  // split.offsets[g] of the flat output, so runs write disjoint slices.
-  auto serve_run = [&](size_t r, Rng* run_rng, ScratchArena* scratch,
-                       std::vector<size_t>* staged) {
-    const size_t rs = run_start[r];
-    const size_t re = run_start[r + 1];
-    const Node& node = nodes_[batch_pieces[groups[order[rs]].tag].node];
-    const std::span<PositionQuery> requests =
-        scratch->Alloc<PositionQuery>(re - rs);
-    size_t m = 0;
-    for (size_t k = rs; k < re; ++k) {
-      const Piece& piece = batch_pieces[groups[order[k]].tag];
-      requests[m++] = PositionQuery{
-          piece.y_a, piece.y_b, static_cast<size_t>(split.counts[order[k]])};
-    }
-    staged->clear();
-    node.sampler->QueryPositionsBatch(requests.first(m), run_rng, scratch,
-                                      staged);
-    // QueryPositionsBatch appends each request's draws contiguously in
-    // order; scatter them back to the groups' flat slices.
-    size_t cursor = 0;
-    for (size_t k = rs; k < re; ++k) {
-      const uint32_t g = order[k];
-      const size_t dst = split.offsets[g];
-      for (uint32_t d = 0; d < split.counts[g]; ++d) {
-        const size_t y_pos = (*staged)[cursor++];
-        result->points[dst + d] = points_by_x_[node.ids_by_y[y_pos]];
-      }
-    }
-    IQS_DCHECK(cursor == staged->size());
-  };
-
-  if (opts.sequential()) {
-    for (size_t r = 0; r < num_runs; ++r) {
-      serve_run(r, rng, arena, &positions);
-    }
-    record_latency();
-    return;
-  }
-
-  // Parallel mode: runs are the shardable unit, each under its own
-  // substream — the run composition depends only on the (sequential)
-  // split above, so output is bit-identical for every thread count.
-  ScopedPool pool(opts);
-  const Rng base(rng->Next64());
-  if (opts.telemetry != nullptr) {
-    ++opts.telemetry->shard(0)->stats.rng_draws;  // the batch key
-  }
-  ParallelForShards(
-      pool.get(), num_runs, [&](size_t first, size_t last, size_t worker) {
-        ScratchArena* wa = pool->worker_arena(worker);
-        thread_local std::vector<size_t> staged;
+  // Runs are the items of the executor's block contract: each block of
+  // runs draws from its own substream of one key, and each group's draws
+  // land at split.offsets[g] of the flat output, so blocks write disjoint
+  // slices and the output is byte-identical for every thread count.
+  CoverExecutor::RunBlocks(
+      num_runs, [&](size_t r) { return run_samples[r]; }, rng, arena, opts,
+      [&](size_t first, size_t last, size_t /*base*/, size_t /*worker*/,
+          Rng* block_rng, ScratchArena* scratch) {
         for (size_t r = first; r < last; ++r) {
-          Rng run_rng = base.ForkStream(r);
-          wa->Reset();
-          serve_run(r, &run_rng, wa, &staged);
+          const size_t rs = run_start[r];
+          const size_t re = run_start[r + 1];
+          const Node& node = nodes_[batch_pieces[groups[order[rs]].tag].node];
+          const std::span<PositionQuery> requests =
+              scratch->Alloc<PositionQuery>(re - rs);
+          for (size_t k = rs; k < re; ++k) {
+            const Piece& piece = batch_pieces[groups[order[k]].tag];
+            requests[k - rs] =
+                PositionQuery{piece.y_a, piece.y_b,
+                              static_cast<size_t>(split.counts[order[k]])};
+          }
+          // The requests' draws come back contiguously in order; scatter
+          // them to the groups' flat slices.
+          const std::span<size_t> drawn =
+              scratch->Alloc<size_t>(run_samples[r]);
+          node.sampler->QueryPositionsBatch(requests, block_rng, scratch,
+                                            BatchOptions{}, drawn);
+          size_t cursor = 0;
+          for (size_t k = rs; k < re; ++k) {
+            const uint32_t g = order[k];
+            const size_t dst = split.offsets[g];
+            for (uint32_t d = 0; d < split.counts[g]; ++d) {
+              result->points[dst + d] =
+                  points_by_x_[node.ids_by_y[drawn[cursor++]]];
+            }
+          }
         }
       });
   record_latency();

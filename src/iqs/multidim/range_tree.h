@@ -52,9 +52,10 @@ class RangeTree2DSampler {
   // performs the multinomial splits, then the per-group draws are
   // coalesced BY SECONDARY NODE so pieces of different queries that land
   // in the same node's y-structure share one chunked batched call (and
-  // its cross-query prefetch pipeline). opts.num_threads >= 1 serves
-  // the coalesced node runs in the deterministic parallel mode, one RNG
-  // substream per run (see BatchOptions).
+  // its cross-query prefetch pipeline). The coalesced node runs are the
+  // items of the executor's block contract: blocks of runs draw from
+  // their own substreams, inline or pooled per opts, with output
+  // byte-identical for every num_threads (see BatchOptions).
   // Canonical order (queries, rng, arena, opts, &result).
   void QueryBatch(std::span<const RectBatchQuery> queries, Rng* rng,
                   ScratchArena* arena, const BatchOptions& opts,

@@ -213,10 +213,8 @@ void RangeTreeNdSampler::QueryBatch(std::span<const BoxBatchQuery> queries,
   };
   result->Clear();
   arena->Reset();
-  thread_local CoverPlan plan;
+  CoverPlan plan(arena);
   thread_local std::vector<Piece> pieces;
-  thread_local std::vector<size_t> positions;
-  plan.Clear();
   pieces.clear();
   const size_t nq = queries.size();
   result->resolved.resize(nq);
@@ -245,7 +243,7 @@ void RangeTreeNdSampler::QueryBatch(std::span<const BoxBatchQuery> queries,
   IQS_CHECK(split.total == total_samples);
   result->positions.assign(total_samples, 0);
   if (opts.telemetry != nullptr) {
-    // This path serves draws manually (not via CoverExecutor::Execute), so
+    // This path serves draws itself (not via CoverExecutor::Execute), so
     // it owns the samples_emitted / arena high-water accounting.
     QueryStats* stats = &opts.telemetry->shard(0)->stats;
     stats->samples_emitted += split.total;
@@ -261,9 +259,9 @@ void RangeTreeNdSampler::QueryBatch(std::span<const BoxBatchQuery> queries,
   // Serve singleton groups directly; coalesce the rest by final-level
   // structure so shared leaf samplers get one batched call each.
   //
-  // `pieces`/`plan` are thread_local, so lambdas that may run on pool
-  // workers must go through these caller-bound views — a bare `pieces`
-  // inside the lambda would resolve to the worker's own (empty) instance.
+  // `pieces` is thread_local, so lambdas that may run on pool workers
+  // must go through this caller-bound view — a bare `pieces` inside the
+  // lambda would resolve to the worker's own (empty) instance.
   const std::span<const Piece> batch_pieces(pieces);
   const std::span<const CoverGroup> groups = plan.groups();
   const std::span<uint32_t> order = arena->Alloc<uint32_t>(groups.size());
@@ -289,72 +287,55 @@ void RangeTreeNdSampler::QueryBatch(std::span<const BoxBatchQuery> queries,
 
   // Run boundaries over the sorted order: one run per leaf structure.
   const std::span<size_t> run_start = arena->Alloc<size_t>(active + 1);
+  const std::span<size_t> run_samples = arena->Alloc<size_t>(active);
   size_t num_runs = 0;
   for (size_t k = 0; k < active;) {
-    run_start[num_runs++] = k;
+    run_start[num_runs] = k;
+    run_samples[num_runs] = 0;
     const LevelStructure* structure =
         batch_pieces[groups[order[k]].tag].leaf_structure;
     while (k < active &&
            batch_pieces[groups[order[k]].tag].leaf_structure == structure) {
+      run_samples[num_runs] += split.counts[order[k]];
       ++k;
     }
+    ++num_runs;
   }
   run_start[num_runs] = active;
 
-  // Serves run r with the given rng/scratch/staging buffer; runs write
-  // disjoint slices of the flat output.
-  auto serve_run = [&](size_t r, Rng* run_rng, ScratchArena* scratch,
-                       std::vector<size_t>* staged) {
-    const size_t rs = run_start[r];
-    const size_t re = run_start[r + 1];
-    const LevelStructure* structure =
-        batch_pieces[groups[order[rs]].tag].leaf_structure;
-    const std::span<PositionQuery> requests =
-        scratch->Alloc<PositionQuery>(re - rs);
-    size_t m = 0;
-    for (size_t k = rs; k < re; ++k) {
-      const Piece& piece = batch_pieces[groups[order[k]].tag];
-      requests[m++] = PositionQuery{
-          piece.a, piece.b, static_cast<size_t>(split.counts[order[k]])};
-    }
-    staged->clear();
-    structure->sampler->QueryPositionsBatch(requests.first(m), run_rng,
-                                            scratch, staged);
-    size_t cursor = 0;
-    for (size_t k = rs; k < re; ++k) {
-      const uint32_t g = order[k];
-      const size_t dst = split.offsets[g];
-      for (uint32_t d = 0; d < split.counts[g]; ++d) {
-        result->positions[dst + d] =
-            structure->ids_sorted[(*staged)[cursor++]];
-      }
-    }
-    IQS_DCHECK(cursor == staged->size());
-  };
-
-  if (opts.sequential()) {
-    for (size_t r = 0; r < num_runs; ++r) {
-      serve_run(r, rng, arena, &positions);
-    }
-    record_latency();
-    return;
-  }
-
-  // Parallel mode: runs are the shardable unit, each under its own
-  // substream (see RangeTree2DSampler::QueryBatch).
-  ScopedPool pool(opts);
-  const Rng base(rng->Next64());
-  if (opts.telemetry != nullptr) {
-    ++opts.telemetry->shard(0)->stats.rng_draws;  // the batch key
-  }
-  ParallelForShards(
-      pool.get(), num_runs, [&](size_t first, size_t last, size_t worker) {
-        ScratchArena* wa = pool->worker_arena(worker);
-        thread_local std::vector<size_t> staged;
+  // Runs are the items of the executor's block contract, as in
+  // RangeTree2DSampler::QueryBatch; blocks write disjoint output slices.
+  CoverExecutor::RunBlocks(
+      num_runs, [&](size_t r) { return run_samples[r]; }, rng, arena, opts,
+      [&](size_t first, size_t last, size_t /*base*/, size_t /*worker*/,
+          Rng* block_rng, ScratchArena* scratch) {
         for (size_t r = first; r < last; ++r) {
-          Rng run_rng = base.ForkStream(r);
-          wa->Reset();
-          serve_run(r, &run_rng, wa, &staged);
+          const size_t rs = run_start[r];
+          const size_t re = run_start[r + 1];
+          const LevelStructure* structure =
+              batch_pieces[groups[order[rs]].tag].leaf_structure;
+          const std::span<PositionQuery> requests =
+              scratch->Alloc<PositionQuery>(re - rs);
+          for (size_t k = rs; k < re; ++k) {
+            const Piece& piece = batch_pieces[groups[order[k]].tag];
+            requests[k - rs] =
+                PositionQuery{piece.a, piece.b,
+                              static_cast<size_t>(split.counts[order[k]])};
+          }
+          const std::span<size_t> drawn =
+              scratch->Alloc<size_t>(run_samples[r]);
+          structure->sampler->QueryPositionsBatch(requests, block_rng,
+                                                  scratch, BatchOptions{},
+                                                  drawn);
+          size_t cursor = 0;
+          for (size_t k = rs; k < re; ++k) {
+            const uint32_t g = order[k];
+            const size_t dst = split.offsets[g];
+            for (uint32_t d = 0; d < split.counts[g]; ++d) {
+              result->positions[dst + d] =
+                  structure->ids_sorted[drawn[cursor++]];
+            }
+          }
         }
       });
   record_latency();

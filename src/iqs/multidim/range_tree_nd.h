@@ -56,9 +56,9 @@ class RangeTreeNdSampler {
   // draws are coalesced BY FINAL-LEVEL STRUCTURE so pieces of different
   // queries that share a leaf sampler ride one chunked batched call.
   // result->positions holds point ids (constructor order).
-  // opts.num_threads >= 1 serves the coalesced structure runs in the
-  // deterministic parallel mode, one RNG substream per run (see
-  // BatchOptions). Canonical order (queries, rng, arena, opts, &result).
+  // The coalesced structure runs are the items of the executor's block
+  // contract, as in RangeTree2DSampler::QueryBatch (see BatchOptions).
+  // Canonical order (queries, rng, arena, opts, &result).
   void QueryBatch(std::span<const BoxBatchQuery> queries, Rng* rng,
                   ScratchArena* arena, const BatchOptions& opts,
                   BatchResult* result) const;

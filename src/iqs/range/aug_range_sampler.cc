@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "iqs/cover/cover_executor.h"
-#include "iqs/sampling/multinomial.h"
 
 namespace iqs {
 
@@ -43,81 +42,19 @@ void AugRangeSampler::BuildNodeAliases(std::span<const double> weights) {
   }
 }
 
-void AugRangeSampler::QueryPositions(size_t a, size_t b, size_t s, Rng* rng,
-                                     std::vector<size_t>* out) const {
-  IQS_CHECK(a <= b && b < n());
-  if (s == 0) return;
-  // Per-call temporaries hoisted into thread-local scratch (see
-  // BstRangeSampler::QueryPositions).
-  thread_local std::vector<StaticBst::NodeId> cover;
-  thread_local std::vector<double> cover_weights;
-  cover.clear();
-  tree_.CanonicalCover(a, b, &cover);
-
-  cover_weights.clear();
-  cover_weights.reserve(cover.size());
-  for (StaticBst::NodeId u : cover) {
-    cover_weights.push_back(tree_.NodeWeight(u));
-  }
-  const std::vector<uint32_t> counts = MultinomialSplit(cover_weights, s, rng);
-
-  out->reserve(out->size() + s);
-  for (size_t i = 0; i < cover.size(); ++i) {
-    const StaticBst::NodeId u = cover[i];
-    const size_t lo = tree_.RangeLo(u);
-    if (tree_.IsLeaf(u)) {
-      for (uint32_t k = 0; k < counts[i]; ++k) out->push_back(lo);
-      continue;
-    }
-    const AliasTable& table = node_alias_[u];
-    for (uint32_t k = 0; k < counts[i]; ++k) {
-      out->push_back(lo + table.Sample(rng));
-    }
-  }
-}
-
-void AugRangeSampler::DrawGroupedAlias(const CoverPlan& plan,
-                                       const CoverSplit& split,
-                                       size_t first_group, size_t end_group,
-                                       std::span<size_t> dst, Rng* rng,
-                                       ScratchArena* arena) const {
-  const size_t base = split.offsets[first_group];
-  const size_t total = split.offsets[end_group] - base;
-  if (total == 0) return;
-  const std::span<const AliasTable*> tables =
-      arena->Alloc<const AliasTable*>(total);
-  const std::span<size_t> bases = arena->Alloc<size_t>(total);
-  const std::span<const CoverGroup> groups = plan.groups();
-  size_t d = 0;
-  for (size_t g = first_group; g < end_group; ++g) {
-    const auto u = static_cast<StaticBst::NodeId>(groups[g].tag);
-    const AliasTable* table = tree_.IsLeaf(u) ? nullptr : &node_alias_[u];
-    const size_t lo = groups[g].lo;
-    for (uint32_t k = 0; k < split.counts[g]; ++k) {
-      tables[d] = table;
-      bases[d] = lo;
-      ++d;
-    }
-  }
-  IQS_DCHECK(d == total);
-
-  AliasTable::SampleTargets(tables, bases, rng, dst.subspan(base, total));
-}
-
 void AugRangeSampler::QueryPositionsBatch(
     std::span<const PositionQuery> queries, Rng* rng, ScratchArena* arena,
-    const BatchOptions& opts, std::vector<size_t>* out) const {
+    const BatchOptions& opts, std::span<size_t> out) const {
   // Cover enumeration only; the CoverExecutor owns the multinomial split
-  // and output layout. The draw backend flattens the per-node urn picks
-  // of EVERY query into one cross-batch pipeline: a planning pass records
-  // (table, base) per draw, then fixed-size blocks run urn-index
-  // generation + prefetch for the whole block before any urn is read. The
-  // urn loads — the only cache misses on this path — therefore overlap
-  // across all queries of the batch instead of serializing inside each
-  // cover node's little group.
-  thread_local CoverPlan plan;
-  plan.Clear();
+  // and output layout. The draw kernel flattens the per-node urn picks of
+  // a whole block of queries into one pipeline: a planning pass records
+  // (table, base) per draw, then fixed-size runs do urn-index generation
+  // + prefetch before any urn is read. The urn loads — the only cache
+  // misses on this path — therefore overlap across the block's queries
+  // instead of serializing inside each cover node's little group.
   const size_t max_cover = tree_.MaxCoverSize();
+  CoverPlan plan(arena);
+  plan.Reserve(queries.size(), queries.size() * max_cover);
   const std::span<StaticBst::NodeId> cover =
       arena->Alloc<StaticBst::NodeId>(max_cover);
   for (const PositionQuery& q : queries) {
@@ -132,26 +69,28 @@ void AugRangeSampler::QueryPositionsBatch(
     }
   }
 
-  if (!opts.sequential()) {
-    // Parallel mode: the same blocked urn pipeline, run per query under
-    // the query's substream (the pipeline is then shorter — one query's
-    // draws — but shards of queries still overlap their misses).
-    CoverExecutor::ExecuteParallel(
-        plan, rng, arena, opts,
-        [this](const CoverPlan& p, const CoverSplit& split,
-               std::span<size_t> dst, size_t q, size_t /*worker*/, Rng* qrng,
-               ScratchArena* wa) {
-          DrawGroupedAlias(p, split, p.first_group(q), p.end_group(q), dst,
-                           qrng, wa);
-        },
-        out);
-    return;
-  }
-
   CoverExecutor::Execute(
       plan, rng, arena, opts,
-      [&](const CoverPlan& p, const CoverSplit& split, std::span<size_t> dst) {
-        DrawGroupedAlias(p, split, 0, p.num_groups(), dst, rng, arena);
+      [this](const CoverBlock& block) {
+        const size_t total = block.dst.size();
+        const std::span<const AliasTable*> tables =
+            block.arena->Alloc<const AliasTable*>(total);
+        const std::span<size_t> bases = block.arena->Alloc<size_t>(total);
+        const std::span<const CoverGroup> groups = block.plan.groups();
+        size_t d = 0;
+        for (size_t g = block.first_group; g < block.end_group; ++g) {
+          const auto u = static_cast<StaticBst::NodeId>(groups[g].tag);
+          // Leaves have no table: they are their own sample.
+          const AliasTable* table =
+              tree_.IsLeaf(u) ? nullptr : &node_alias_[u];
+          for (uint32_t k = 0; k < block.counts[g]; ++k) {
+            tables[d] = table;
+            bases[d] = groups[g].lo;
+            ++d;
+          }
+        }
+        IQS_DCHECK(d == total);
+        AliasTable::SampleTargets(tables, bases, block.rng, block.dst);
       },
       out);
 }

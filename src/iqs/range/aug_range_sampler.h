@@ -19,9 +19,6 @@
 
 namespace iqs {
 
-class CoverPlan;
-struct CoverSplit;
-
 class AugRangeSampler : public RangeSampler {
  public:
   AugRangeSampler(std::span<const double> keys,
@@ -32,17 +29,14 @@ class AugRangeSampler : public RangeSampler {
   // numbers.
   explicit AugRangeSampler(std::span<const double> weights);
 
-  void QueryPositions(size_t a, size_t b, size_t s, Rng* rng,
-                      std::vector<size_t>* out) const override;
-
-  // Batched fast path: enumerates canonical covers into a CoverPlan for
-  // the shared CoverExecutor; the draw backend pipelines prefetched urn
-  // loads from the prebuilt per-node alias tables — across the whole
-  // batch when sequential, per query under substreams when parallel.
+  // Batched path (and, through the RangeSampler default, the single-query
+  // one): enumerates canonical covers into a CoverPlan for the shared
+  // CoverExecutor; the draw kernel pipelines prefetched urn loads from
+  // the prebuilt per-node alias tables across each block of queries.
   using RangeSampler::QueryPositionsBatch;
   void QueryPositionsBatch(std::span<const PositionQuery> queries, Rng* rng,
                            ScratchArena* arena, const BatchOptions& opts,
-                           std::vector<size_t>* out) const override;
+                           std::span<size_t> out) const override;
 
   size_t MemoryBytes() const override;
 
@@ -50,14 +44,6 @@ class AugRangeSampler : public RangeSampler {
 
  private:
   void BuildNodeAliases(std::span<const double> weights);
-
-  // Blocked prefetch-then-read alias pipeline over the plan groups
-  // [first_group, end_group), writing dst[split.offsets[g] ..) for each.
-  // `dst` is the batch-flat destination; scratch comes from `arena`.
-  void DrawGroupedAlias(const CoverPlan& plan, const CoverSplit& split,
-                        size_t first_group, size_t end_group,
-                        std::span<size_t> dst, Rng* rng,
-                        ScratchArena* arena) const;
 
   StaticBst tree_;
   // node_alias_[u] samples a position offset within [RangeLo(u),

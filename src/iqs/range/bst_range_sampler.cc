@@ -1,8 +1,6 @@
 #include "iqs/range/bst_range_sampler.h"
 
-#include "iqs/alias/alias_table.h"
 #include "iqs/cover/cover_executor.h"
-#include "iqs/sampling/multinomial.h"
 
 namespace iqs {
 
@@ -12,47 +10,20 @@ BstRangeSampler::BstRangeSampler(std::span<const double> keys,
   IQS_CHECK(keys.size() == weights.size());
 }
 
-void BstRangeSampler::QueryPositions(size_t a, size_t b, size_t s, Rng* rng,
-                                     std::vector<size_t>* out) const {
-  IQS_CHECK(a <= b && b < n());
-  if (s == 0) return;
-  // Per-call temporaries hoisted into thread-local scratch: steady-state
-  // queries reuse capacity instead of round-tripping the heap.
-  thread_local std::vector<StaticBst::NodeId> cover;
-  thread_local std::vector<double> cover_weights;
-  thread_local AliasTable cover_alias;
-  cover.clear();
-  tree_.CanonicalCover(a, b, &cover);
-
-  // Alias table over the canonical nodes, then tree sampling below the
-  // chosen node for every draw (paper Section 3.2).
-  cover_weights.clear();
-  cover_weights.reserve(cover.size());
-  for (StaticBst::NodeId u : cover) {
-    cover_weights.push_back(tree_.NodeWeight(u));
-  }
-  cover_alias.Build(cover_weights);
-  out->reserve(out->size() + s);
-  for (size_t i = 0; i < s; ++i) {
-    const StaticBst::NodeId u = cover[cover_alias.Sample(rng)];
-    out->push_back(tree_.SampleLeaf(u, rng));
-  }
-}
-
 void BstRangeSampler::QueryPositionsBatch(
     std::span<const PositionQuery> queries, Rng* rng, ScratchArena* arena,
-    const BatchOptions& opts, std::vector<size_t>* out) const {
+    const BatchOptions& opts, std::span<size_t> out) const {
   // Cover enumeration only; the CoverExecutor owns the batched pipeline
-  // (multinomial split per query, flat offsets, arena scratch). The draw
-  // backend lines up ONE descent lane per requested sample across the
-  // entire batch and runs them all through a single grouped
-  // DescendToLeaves: with thousands of independent lanes the
-  // bottom-of-tree node loads (the cache misses that dominate the
-  // single-query path) overlap instead of serializing, and shared
-  // top-of-subtree nodes stay hot across every query of the batch.
-  thread_local CoverPlan plan;
-  plan.Clear();
+  // (multinomial split per query, blocks, arena scratch). The draw kernel
+  // lines up ONE descent lane per requested sample across a whole block
+  // of queries and runs them all through a single grouped
+  // DescendToLeaves: with a thousand independent lanes the
+  // bottom-of-tree node loads (the cache misses of a lone descent)
+  // overlap instead of serializing, and shared top-of-subtree nodes stay
+  // hot across the block's queries.
   const size_t max_cover = tree_.MaxCoverSize();
+  CoverPlan plan(arena);
+  plan.Reserve(queries.size(), queries.size() * max_cover);
   const std::span<StaticBst::NodeId> cover =
       arena->Alloc<StaticBst::NodeId>(max_cover);
   for (const PositionQuery& q : queries) {
@@ -67,59 +38,25 @@ void BstRangeSampler::QueryPositionsBatch(
     }
   }
 
-  if (!opts.sequential()) {
-    // Parallel mode: the same grouped descent, but one DescendToLeaves per
-    // query under the query's substream, so the lane order (and therefore
-    // the randomness consumption) is a pure function of the query — any
-    // thread count produces identical bytes.
-    CoverExecutor::ExecuteParallel(
-        plan, rng, arena, opts,
-        [this, &opts](const CoverPlan& p, const CoverSplit& split,
-                      std::span<size_t> dst, size_t q, size_t worker,
-                      Rng* qrng, ScratchArena* wa) {
-          const size_t fg = p.first_group(q);
-          const size_t eg = p.end_group(q);
-          const size_t qs = split.offsets[eg] - split.offsets[fg];
-          const std::span<StaticBst::NodeId> lanes =
-              wa->Alloc<StaticBst::NodeId>(qs);
-          const std::span<const CoverGroup> groups = p.groups();
-          size_t lane = 0;
-          for (size_t g = fg; g < eg; ++g) {
-            const auto u = static_cast<StaticBst::NodeId>(groups[g].tag);
-            for (uint32_t k = 0; k < split.counts[g]; ++k) lanes[lane++] = u;
-          }
-          IQS_DCHECK(lane == qs);
-          const size_t steps = tree_.DescendToLeaves(lanes, qrng, wa);
-          if (opts.telemetry != nullptr) {
-            opts.telemetry->shard(worker)->stats.nodes_visited += steps;
-          }
-          const size_t base = split.offsets[fg];
-          for (size_t i = 0; i < qs; ++i) {
-            dst[base + i] = tree_.RangeLo(lanes[i]);
-          }
-        },
-        out);
-    return;
-  }
-
   CoverExecutor::Execute(
       plan, rng, arena, opts,
-      [&](const CoverPlan& p, const CoverSplit& split, std::span<size_t> dst) {
+      [this, &opts](const CoverBlock& block) {
         const std::span<StaticBst::NodeId> lanes =
-            arena->Alloc<StaticBst::NodeId>(split.total);
-        const std::span<const CoverGroup> groups = p.groups();
+            block.arena->Alloc<StaticBst::NodeId>(block.dst.size());
+        const std::span<const CoverGroup> groups = block.plan.groups();
         size_t lane = 0;
-        for (size_t g = 0; g < groups.size(); ++g) {
+        for (size_t g = block.first_group; g < block.end_group; ++g) {
           const auto u = static_cast<StaticBst::NodeId>(groups[g].tag);
-          for (uint32_t k = 0; k < split.counts[g]; ++k) lanes[lane++] = u;
+          for (uint32_t k = 0; k < block.counts[g]; ++k) lanes[lane++] = u;
         }
-        IQS_DCHECK(lane == split.total);
-        const size_t steps = tree_.DescendToLeaves(lanes, rng, arena);
+        IQS_DCHECK(lane == lanes.size());
+        const size_t steps =
+            tree_.DescendToLeaves(lanes, block.rng, block.arena);
         if (opts.telemetry != nullptr) {
-          opts.telemetry->shard(0)->stats.nodes_visited += steps;
+          opts.telemetry->shard(block.worker)->stats.nodes_visited += steps;
         }
-        for (size_t i = 0; i < split.total; ++i) {
-          dst[i] = tree_.RangeLo(lanes[i]);
+        for (size_t i = 0; i < lanes.size(); ++i) {
+          block.dst[i] = tree_.RangeLo(lanes[i]);
         }
       },
       out);

@@ -24,17 +24,15 @@ class BstRangeSampler : public RangeSampler {
   BstRangeSampler(std::span<const double> keys,
                   std::span<const double> weights);
 
-  void QueryPositions(size_t a, size_t b, size_t s, Rng* rng,
-                      std::vector<size_t>* out) const override;
-
-  // Batched fast path: enumerates canonical covers into a CoverPlan and
-  // serves them through the shared CoverExecutor, with grouped
-  // (level-synchronous, prefetched) subtree descents as the draw backend —
-  // batch-wide when sequential, per query under substreams when parallel.
+  // Batched path (and, through the RangeSampler default, the single-query
+  // one): enumerates canonical covers into a CoverPlan and serves them
+  // through the shared CoverExecutor, with grouped (level-synchronous,
+  // prefetched) subtree descents over each block of queries as the draw
+  // kernel.
   using RangeSampler::QueryPositionsBatch;
   void QueryPositionsBatch(std::span<const PositionQuery> queries, Rng* rng,
                            ScratchArena* arena, const BatchOptions& opts,
-                           std::vector<size_t>* out) const override;
+                           std::span<size_t> out) const override;
 
   size_t MemoryBytes() const override {
     return tree_.MemoryBytes() + keys_.capacity() * sizeof(double);

@@ -41,19 +41,15 @@ class ChunkedRangeSampler : public RangeSampler {
                       std::span<const double> weights, size_t chunk_size = 0,
                       ThreadPool* build_pool = nullptr);
 
-  void QueryPositions(size_t a, size_t b, size_t s, Rng* rng,
-                      std::vector<size_t>* out) const override;
-
-  // Batched fast path: enumerates each query's q1/q2/q3 split into a
-  // CoverPlan served by the shared CoverExecutor — block draws for the
-  // partial chunks, and chunk-aligned middles served through the
-  // chunk-level structure plus a blocked alias pipeline (gathered across
-  // the whole batch when sequential, per query under substreams when
-  // parallel).
+  // Batched path (and, through the RangeSampler default, the single-query
+  // one): enumerates each query's q1/q2/q3 split into a CoverPlan served
+  // by the shared CoverExecutor — block draws for the partial chunks, and
+  // each block's chunk-aligned middles served through the chunk-level
+  // structure plus a blocked alias pipeline.
   using RangeSampler::QueryPositionsBatch;
   void QueryPositionsBatch(std::span<const PositionQuery> queries, Rng* rng,
                            ScratchArena* arena, const BatchOptions& opts,
-                           std::vector<size_t>* out) const override;
+                           std::span<size_t> out) const override;
 
   size_t MemoryBytes() const override;
 
@@ -67,11 +63,6 @@ class ChunkedRangeSampler : public RangeSampler {
   size_t ChunkEnd(size_t chunk) const {  // inclusive
     return std::min(ChunkStart(chunk) + chunk_size_, weights_.size()) - 1;
   }
-
-  // Draws `count` weighted samples from positions [lo, hi] (all within one
-  // chunk) by scanning, appending to `out`.
-  void SampleFromSpan(size_t lo, size_t hi, size_t count, Rng* rng,
-                      std::vector<size_t>* out) const;
 
   std::vector<double> weights_;
   size_t chunk_size_ = 0;

@@ -88,8 +88,8 @@ class IntegerRangeSampler {
   // interval is resolved once through the y-fast index, then all draws
   // ride the Theorem-3 structure's single CoverExecutor run.
   // result->positions holds sorted-order positions.
-  // opts.num_threads >= 1 serves the batch in the deterministic
-  // parallel mode (see BatchOptions). Canonical order
+  // opts decides where the executor's blocks run, never the output
+  // (see BatchOptions). Canonical order
   // (queries, rng, arena, opts, &result).
   void QueryBatch(std::span<const IntegerBatchQuery> queries, Rng* rng,
                   ScratchArena* arena, const BatchOptions& opts,

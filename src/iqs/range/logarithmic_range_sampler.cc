@@ -187,10 +187,9 @@ void LogarithmicRangeSampler::QueryBatch(std::span<const KeyBatchQuery> queries,
     size_t a;
     size_t b;
   };
-  thread_local CoverPlan plan;
+  CoverPlan plan(arena);
   thread_local std::vector<Part> parts;
   thread_local std::vector<size_t> positions;
-  plan.Clear();
   parts.clear();
   const size_t nq = queries.size();
   result->resolved.resize(nq);

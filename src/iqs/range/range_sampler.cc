@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "iqs/cover/cover_executor.h"
 #include "iqs/util/telemetry.h"
 
 namespace iqs {
@@ -24,6 +25,16 @@ bool RangeSampler::ResolveInterval(double lo, double hi, size_t* a,
   *a = static_cast<size_t>(first - keys_.begin());
   *b = static_cast<size_t>(last - keys_.begin()) - 1;
   return true;
+}
+
+void RangeSampler::QueryPositions(size_t a, size_t b, size_t s, Rng* rng,
+                                  std::vector<size_t>* out) const {
+  IQS_CHECK(a <= b && b < n());
+  if (s == 0) return;
+  const PositionQuery query{a, b, s};
+  const std::span<const PositionQuery> one(&query, 1);
+  ScratchArena arena;
+  QueryPositionsBatch(one, rng, &arena, BatchOptions{}, out);
 }
 
 bool RangeSampler::Query(double lo, double hi, size_t s, Rng* rng,
@@ -66,10 +77,9 @@ void RangeSampler::QueryBatch(std::span<const BatchQuery> queries, Rng* rng,
   }
   result->offsets[q] = total_samples;
 
-  result->positions.clear();
-  result->positions.reserve(total_samples);
-  QueryPositionsBatch(resolved, rng, arena, opts, &result->positions);
-  IQS_CHECK(result->positions.size() == total_samples);
+  result->positions.resize(total_samples);
+  QueryPositionsBatch(resolved, rng, arena, opts,
+                      std::span<size_t>(result->positions));
   if (opts.telemetry != nullptr) {
     opts.telemetry->shard(0)->latency.Record(TelemetryNowNs() - start_ns);
   }
@@ -79,46 +89,39 @@ void RangeSampler::QueryPositionsBatch(std::span<const PositionQuery> queries,
                                        Rng* rng, ScratchArena* arena,
                                        const BatchOptions& opts,
                                        std::vector<size_t>* out) const {
-  if (opts.sequential()) {
-    for (const PositionQuery& q : queries) {
-      if (q.s == 0) continue;
-      QueryPositions(q.a, q.b, q.s, rng, out);
-    }
-    return;
-  }
-
-  // Generic parallel fallback: whole requests are the shardable unit,
-  // each served by QueryPositions under its own substream (see
-  // BatchOptions for the determinism argument). Subclasses with grouped
-  // kernels override this with a CoverExecutor::ExecuteParallel pipeline.
-  ScopedPool pool(opts);
-  const Rng base(rng->Next64());
-  const size_t nq = queries.size();
-  const std::span<size_t> offsets = arena->Alloc<size_t>(nq + 1);
   size_t total = 0;
-  for (size_t i = 0; i < nq; ++i) {
-    offsets[i] = total;
-    total += queries[i].s;
+  for (const PositionQuery& q : queries) total += q.s;
+  const size_t base = out->size();
+  out->resize(base + total);
+  QueryPositionsBatch(queries, rng, arena, opts,
+                      std::span<size_t>(*out).subspan(base));
+}
+
+void RangeSampler::QueryPositionsBatch(std::span<const PositionQuery> queries,
+                                       Rng* rng, ScratchArena* arena,
+                                       const BatchOptions& opts,
+                                       std::span<size_t> out) const {
+  // Generic path for structures without a grouped kernel: one group per
+  // request, each drawn by QueryPositions from its block's stream.
+  CoverPlan plan(arena);
+  for (const PositionQuery& q : queries) {
+    plan.BeginQuery(q.s);
+    if (q.s > 0) plan.AddGroup(q.a, q.b, 1.0);
   }
-  offsets[nq] = total;
-  if (total == 0) return;
-  const size_t base_size = out->size();
-  out->resize(base_size + total);
-  const std::span<size_t> dst =
-      std::span<size_t>(*out).subspan(base_size, total);
-  ParallelForShards(
-      pool.get(), nq, [&](size_t first, size_t last, size_t /*worker*/) {
-        thread_local std::vector<size_t> buf;
-        for (size_t q = first; q < last; ++q) {
-          if (queries[q].s == 0) continue;
-          Rng qrng = base.ForkStream(q);
-          buf.clear();
-          QueryPositions(queries[q].a, queries[q].b, queries[q].s, &qrng,
-                         &buf);
-          IQS_DCHECK(buf.size() == queries[q].s);
-          std::copy(buf.begin(), buf.end(), dst.begin() + offsets[q]);
+  CoverExecutor::Execute(
+      plan, rng, arena, opts,
+      [this](const CoverBlock& block) {
+        std::vector<size_t> drawn;
+        drawn.reserve(block.dst.size());
+        for (size_t g = block.first_group; g < block.end_group; ++g) {
+          const CoverGroup& group = block.plan.groups()[g];
+          QueryPositions(group.lo, group.hi, block.counts[g], block.rng,
+                         &drawn);
         }
-      });
+        IQS_DCHECK(drawn.size() == block.dst.size());
+        std::copy(drawn.begin(), drawn.end(), block.dst.begin());
+      },
+      out);
 }
 
 }  // namespace iqs

@@ -73,8 +73,8 @@ class RangeSampler {
   RangeSampler(const RangeSampler&) = delete;
   RangeSampler& operator=(const RangeSampler&) = delete;
 
-  // Number of positions: one per key, unless a keyless view overrides it.
-  virtual size_t n() const { return keys_.size(); }
+  // Number of positions: one per key.
+  size_t n() const { return keys_.size(); }
   const std::vector<double>& keys() const { return keys_; }
 
   // Draws `s` independent weighted samples from the elements at positions
@@ -85,8 +85,12 @@ class RangeSampler {
   // internal structure, e.g. by chunk). Callers that need an i.i.d.
   // SEQUENCE (e.g. "take the first distinct values") must shuffle first —
   // see sampling/wor_query.cc.
+  //
+  // The default is a one-query QueryPositionsBatch over a call-local
+  // arena, so a structure with a grouped batch kernel has no separate
+  // single-query path; structures without one override this instead.
   virtual void QueryPositions(size_t a, size_t b, size_t s, Rng* rng,
-                              std::vector<size_t>* out) const = 0;
+                              std::vector<size_t>* out) const;
 
   // Draws `s` independent weighted samples from S ∩ [lo, hi], appending
   // sampled positions to `out`. Returns false (and appends nothing) when
@@ -110,12 +114,12 @@ class RangeSampler {
   // QueryPositions (i.i.d. multiset, unspecified order), and draws are
   // independent across queries of the batch.
   //
-  // opts.num_threads >= 1 selects the deterministic parallel mode (see
-  // BatchOptions): same per-query output law and ordering contract,
-  // output bit-identical for every thread count under a fixed seed, but a
-  // different stream assignment than the sequential default.
-  // opts.telemetry attaches an observability sink (one latency sample per
-  // batch call plus the pipeline counters; never perturbs the Rng).
+  // Randomness follows the executor's block contract (BatchOptions,
+  // cover/cover_executor.h): one key word from `rng`, blocks of queries
+  // on their own substreams, output byte-identical for every
+  // opts.num_threads. opts.telemetry attaches an observability sink (one
+  // latency sample per batch call plus the pipeline counters; never
+  // perturbs the Rng).
   void QueryBatch(std::span<const BatchQuery> queries, Rng* rng,
                   ScratchArena* arena, const BatchOptions& opts,
                   BatchResult* result) const;
@@ -124,20 +128,24 @@ class RangeSampler {
   void QueryBatch(std::span<const BatchQuery> queries, Rng* rng,
                   ScratchArena* arena, BatchResult* result) const;
 
-  // Position-space batch hook, in the canonical argument order. Appends,
-  // for each query in order, exactly q.s sampled positions to `out`
-  // (contiguous per query). With sequential opts the base implementation
-  // loops over QueryPositions; subclasses override it with grouped
-  // multinomial sampling over the canonical cover, which turns s
-  // independent O(log n) descents into O(cover + s) grouped work. In
-  // parallel mode queries are sharded over a worker pool under per-query
-  // RNG substreams; the base implementation shards whole requests over
-  // QueryPositions, cover-based subclasses run their grouped kernels per
-  // query through CoverExecutor::ExecuteParallel instead.
+  // Position-space batch hook, in the canonical argument order. Writes,
+  // for each query in order, exactly q.s sampled positions into `out`
+  // (contiguous per query; out.size() is the sum of q.s). Cover-based
+  // subclasses override it with grouped multinomial sampling over the
+  // canonical cover, which turns s independent O(log n) descents into
+  // O(cover + s) grouped work; the default serves each request through
+  // QueryPositions. Both run through CoverExecutor, so every override
+  // keeps the one RNG contract. A subclass overrides at least one of
+  // QueryPositions and this.
   virtual void QueryPositionsBatch(std::span<const PositionQuery> queries,
                                    Rng* rng, ScratchArena* arena,
                                    const BatchOptions& opts,
-                                   std::vector<size_t>* out) const;
+                                   std::span<size_t> out) const;
+
+  // Appending form: appends the sum of q.s positions to `out`.
+  void QueryPositionsBatch(std::span<const PositionQuery> queries, Rng* rng,
+                           ScratchArena* arena, const BatchOptions& opts,
+                           std::vector<size_t>* out) const;
 
   // Convenience: default options.
   void QueryPositionsBatch(std::span<const PositionQuery> queries, Rng* rng,
@@ -154,11 +162,6 @@ class RangeSampler {
  protected:
   // `keys` must be strictly increasing and nonempty.
   explicit RangeSampler(std::span<const double> keys);
-
-  // A keyless position view, for structures whose groups are slot runs
-  // with no key order (the join sampler's slot array). It must override
-  // n(); Query and ResolveInterval resolve nothing.
-  RangeSampler() = default;
 
   std::vector<double> keys_;
 };

@@ -53,10 +53,10 @@
 // counts the flushes in which workload w was PRESENT — a pure function of
 // (seed, shard, workload, that workload's batch boundaries), never of the
 // clock, the producers' thread timing, or the other workloads' traffic.
-// Combined with the executor's deterministic parallel mode (BatchOptions,
-// PR 3), the flushed results are byte-identical across
-// batch.num_threads ∈ {1, 2, ...} and across any configs that produce
-// the same batch boundaries (serve_frontend_test pins both).
+// Combined with the executor's block contract (BatchOptions), the
+// flushed results are byte-identical across batch.num_threads ∈
+// {0, 1, 2, ...} and across any configs that produce the same batch
+// boundaries (serve_frontend_test pins both).
 //
 // Drain/shutdown: Drain() stops admission (in-flight Submit calls — even
 // ones blocked on backpressure — complete kRejected), flushes every
@@ -134,7 +134,7 @@ struct ServeOptions {
   uint64_t seed = 0x1d9a3f52c8e07b64ULL;
 
   // Execution options for each flushed QueryBatch call. pool must be
-  // null: with num_threads >= 1 each shard worker owns a private pool
+  // null: with num_threads >= 2 each shard worker owns a private pool
   // (one pool cannot run two shards' batches concurrently). telemetry
   // may be set only when num_shards == 1 (see header comment).
   // batch.max_batch is the frontend's to set (it stamps max_batch before
@@ -382,7 +382,7 @@ class ServeFrontend {
     inner.max_batch = opts_.max_batch;
     inner.deadline_ns = opts_.deadline_ns;
     std::unique_ptr<ThreadPool> pool;
-    if (!inner.sequential()) {
+    if (inner.num_threads > 1) {
       pool = std::make_unique<ThreadPool>(inner.num_threads);
       inner.pool = pool.get();
     }

@@ -81,8 +81,7 @@ void SubtreeSampler::QueryBatch(std::span<const SubtreeBatchQuery> queries,
   const uint64_t start_ns = opts.telemetry != nullptr ? TelemetryNowNs() : 0;
   result->Clear();
   arena->Reset();
-  thread_local CoverPlan plan;
-  plan.Clear();
+  CoverPlan plan(arena);
   const size_t nq = queries.size();
   result->resolved.resize(nq);
   result->offsets.resize(nq + 1);
@@ -99,11 +98,9 @@ void SubtreeSampler::QueryBatch(std::span<const SubtreeBatchQuery> queries,
   }
   result->offsets[nq] = total_samples;
 
-  result->positions.clear();
-  result->positions.reserve(total_samples);
+  result->positions.resize(total_samples);
   CoverExecutor::ExecuteOverSampler(plan, *range_sampler_, rng, arena, opts,
-                                    &result->positions);
-  IQS_CHECK(result->positions.size() == total_samples);
+                                    std::span<size_t>(result->positions));
   for (size_t& p : result->positions) p = leaf_sequence_[p];
   if (opts.telemetry != nullptr) {
     opts.telemetry->shard(0)->latency.Record(TelemetryNowNs() - start_ns);

@@ -51,8 +51,8 @@ class SubtreeSampler {
   // cross-query pipeline of RangeSampler::QueryBatch applied to Π.
   // result->positions holds leaf ids. Every query resolves (a subtree
   // always contains a leaf).
-  // opts.num_threads >= 1 serves the batch in the deterministic
-  // parallel mode (see BatchOptions). Canonical order
+  // opts decides where the executor's blocks run, never the output
+  // (see BatchOptions). Canonical order
   // (queries, rng, arena, opts, &result).
   void QueryBatch(std::span<const SubtreeBatchQuery> queries, Rng* rng,
                   ScratchArena* arena, const BatchOptions& opts,

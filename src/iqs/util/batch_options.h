@@ -2,29 +2,21 @@
 // QueryPositionsBatch, CoverageEngine::SampleBatch, the multidim
 // QueryBatch family).
 //
-// Two modes, selected by num_threads:
+// One RNG contract serves every num_threads (cover/cover_executor.h): a
+// batch takes one key word from the caller's Rng and is cut into blocks
+// of consecutive queries by sample count; block b draws from its own
+// substream of the key. num_threads and pool only decide WHERE blocks
+// run, so the output is byte-identical for every num_threads, 0 included:
 //
-//   num_threads == 0 (the default)  — SEQUENTIAL LEGACY MODE. Draws come
-//     from the caller's Rng stream in the historical order; behavior is
-//     byte-for-byte what it was before parallel serving existed, so every
-//     pre-existing call site is unchanged.
-//
-//   num_threads == k >= 1  — DETERMINISTIC PARALLEL MODE. The executor
-//     draws ONE word from the caller's Rng as the batch key, then gives
-//     every query its own substream (Rng::ForkStream of the key by query
-//     index) for both its multinomial budget split and its draws. Queries
-//     are sharded in contiguous ranges over the pool's workers. Because
-//     each query's randomness is a pure function of (caller stream, query
-//     index) and each query writes a fixed slice of the flat output, the
-//     result is BIT-IDENTICAL for every k >= 1 under a fixed seed — k only
-//     changes wall-clock. (It differs from mode-0 output: same law, a
-//     different stream assignment.)
+//   num_threads <= 1, pool == nullptr (the default) — blocks run inline
+//     on the calling thread with the caller's arena; no pool is built.
+//   otherwise — blocks are sharded over the pool's workers.
 //
 // The pool: pass a persistent ThreadPool to amortize thread creation and
-// keep per-worker arenas warm across batches; with pool == nullptr a
-// transient pool of num_threads workers is created for the call (fine for
-// one-off batches, wasteful in a serving loop). When a pool is supplied
-// its worker count wins; num_threads > 0 then just selects parallel mode.
+// keep per-worker arenas warm across batches; with pool == nullptr and
+// num_threads >= 2 a transient pool of num_threads workers is created for
+// the call (fine for one-off batches, wasteful in a serving loop). When a
+// pool is supplied its worker count wins.
 
 #ifndef IQS_UTIL_BATCH_OPTIONS_H_
 #define IQS_UTIL_BATCH_OPTIONS_H_
@@ -41,7 +33,7 @@ namespace iqs {
 class TelemetrySink;
 
 struct BatchOptions {
-  size_t num_threads = 0;      // 0 = sequential; >= 1 = parallel mode
+  size_t num_threads = 0;      // <= 1 = inline; >= 2 = sharded blocks
   ThreadPool* pool = nullptr;  // optional, not owned; see header comment
 
   // Optional observability sink (iqs/util/telemetry.h), not owned. When
@@ -66,11 +58,9 @@ struct BatchOptions {
   //                oversized flush.
   uint64_t deadline_ns = 0;
   size_t max_batch = 0;
-
-  bool sequential() const { return num_threads == 0; }
 };
 
-// Resolves a parallel-mode BatchOptions to a usable pool: the caller's,
+// Resolves a pooled BatchOptions to a usable pool: the caller's,
 // or a transient one owned for the scope of the serving call. Also points
 // the pool at the batch's telemetry sink (steal / busy-time counters) for
 // the duration of the serving call.
@@ -100,7 +90,7 @@ class ScopedPool {
 // Shards [0, n) into contiguous index ranges — a few per worker, so the
 // pool's stealing can rebalance uneven ranges — and runs
 // fn(first, last, worker) for each. Purely an execution detail: callers
-// must make output independent of the sharding (per-index substreams).
+// must make output independent of the sharding (per-block substreams).
 inline void ParallelForShards(ThreadPool* pool, size_t n,
                               FunctionRef<void(size_t, size_t, size_t)> fn) {
   if (n == 0) return;

@@ -102,9 +102,9 @@ class Rng {
   // sequence is untouched. Distinct ids give statistically independent
   // streams — the child state is SplitMix64-seeded from a mix of the
   // parent state and the id, then separated by one xoshiro256++ long-jump
-  // (2^192 steps). This is the primitive behind deterministic parallel
-  // batch serving: per-query substreams make the output a pure function
-  // of (seed, query index), independent of thread count and sharding.
+  // (2^192 steps). This is the primitive behind deterministic batch
+  // serving: per-block substreams make the output a pure function of
+  // (seed, block index), independent of thread count and sharding.
   Rng ForkStream(uint64_t stream_id) const;
 
   // Advances this generator by 2^192 steps of its sequence (the

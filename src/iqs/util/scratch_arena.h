@@ -19,8 +19,10 @@
 // deallocation is a no-op and everything is reclaimed at Reset(), so such
 // a container must not outlive the cycle it was built in.
 //
-// Not thread-safe; use one arena per thread (the single-query fallback
-// paths keep a thread_local arena for exactly this reason).
+// Not thread-safe; use one arena per thread. Batch entry points take the
+// caller's arena, pooled batches give each worker its own
+// (ThreadPool::worker_arena), and single-query calls build a call-local
+// one.
 
 #ifndef IQS_UTIL_SCRATCH_ARENA_H_
 #define IQS_UTIL_SCRATCH_ARENA_H_
@@ -116,7 +118,8 @@ class ScratchArena final : public std::pmr::memory_resource {
   Block NewBlock(size_t bytes) {
     bytes = bytes < 64 ? 64 : bytes;
     ++blocks_allocated_;
-    return Block{std::make_unique<std::byte[]>(bytes), bytes, 0};
+    return Block{std::make_unique_for_overwrite<std::byte[]>(bytes), bytes,
+                 0};
   }
 
   std::byte* Overflow(size_t bytes, size_t alignment) {

@@ -22,19 +22,17 @@
 // sampler — do not double-count):
 //
 //   queries, cover_groups   the outermost CoverExecutor split stage of a
-//                           batch (Split / ExecuteParallel); nested
+//                           batch (Split / Execute); nested
 //                           QueryPositionsBatch calls made by a backend
 //                           run without a sink.
-//   samples_emitted         the executor draw stage (Execute /
-//                           ExecuteOverSampler / ExecuteParallel) and the
-//                           manual-serve QueryBatch paths (range trees,
-//                           logarithmic) that split via CoverExecutor but
-//                           own their draw loops.
-//   rng_draws               randomness words requested by the cover
-//                           pipeline itself: multinomial budget splits
-//                           (s draws per query with >= 2 groups) and
-//                           parallel batch keys. Backend-internal draws
-//                           (tree descents, alias picks) are not counted.
+//   samples_emitted         the executor (Execute / ExecuteOverSampler)
+//                           and the manual-serve QueryBatch paths (range
+//                           trees, logarithmic) that split via
+//                           CoverExecutor but own their draw loops.
+//   rng_draws               multinomial budget-split words (s per query
+//                           with >= 2 groups). Batch keys and
+//                           backend-internal draws (tree descents, alias
+//                           picks) are not counted.
 //   nodes_visited           lane-level steps of StaticBst's grouped
 //                           descent kernel (lanes x levels) — the node
 //                           loads that dominate the 1-d hot path.
@@ -178,8 +176,8 @@ struct alignas(64) TelemetryShard {
 };
 
 // The handle threaded through BatchOptions. Per-worker shards; no
-// atomics; merge after join. Worker w of a parallel batch writes
-// shard(w); every sequential path writes shard(0).
+// atomics; merge after join. Worker w of a pooled batch writes
+// shard(w); everything on the calling thread writes shard(0).
 class TelemetrySink {
  public:
   // Must cover the largest worker count the sink will ever see; the

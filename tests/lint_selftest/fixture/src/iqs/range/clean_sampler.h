@@ -21,6 +21,11 @@ class CleanSampler {
                   ScratchArena* arena, const BatchOptions& opts,
                   std::vector<size_t>* out) const;
 
+  // Span output (caller-sized): also an output, so also last.
+  void QueryPositionsBatch(std::span<const PositionQuery> queries, Rng* rng,
+                           ScratchArena* arena, const BatchOptions& opts,
+                           std::span<size_t> out) const;
+
   // Convenience overload omitting opts: still canonical.
   void QueryBatch(std::span<const PositionQuery> queries, Rng* rng,
                   ScratchArena* arena, std::vector<size_t>* out) const;

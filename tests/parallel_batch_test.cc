@@ -1,18 +1,20 @@
-// Tests for the deterministic parallel batch-serving mode
-// (BatchOptions{num_threads}): the load-bearing property is THREAD-COUNT
-// INVARIANCE — under a fixed seed the parallel mode must produce
-// byte-identical output for every num_threads >= 1, because each query
-// (or coalesced run) draws from its own RNG substream and writes a fixed
-// slice of the flat output. On top of that, chi-square evidence (alpha
-// 1e-6, per test_util.h) that the parallel mode draws from the same
-// per-query law as the sequential path, and batch-independence checks
-// (repeated parallel batches must not repeat samples).
+// Tests for the executor's block contract (BatchOptions{num_threads}):
+// the load-bearing property is THREAD-COUNT INVARIANCE — under a fixed
+// seed every batch API must produce byte-identical output for every
+// num_threads, 0 (inline) included, because each block of queries (or of
+// coalesced runs) draws from its own RNG substream and writes a fixed
+// slice of the flat output. Every batch here spans more than one block,
+// so the substreams are exercised. On top of that, chi-square evidence
+// (alpha 1e-6, per test_util.h) that pooled blocks draw the per-query
+// law, and batch-independence checks (repeated batches must not repeat
+// samples).
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "iqs/cover/cover_executor.h"
 #include "iqs/cover/cover_plan.h"
 #include "iqs/cover/coverage_engine.h"
 #include "iqs/multidim/kd_sampler.h"
@@ -38,7 +40,12 @@
 namespace iqs {
 namespace {
 
-constexpr size_t kThreadCounts[] = {1, 2, 7};
+constexpr size_t kThreadCounts[] = {0, 1, 2, 7};
+
+// True iff a batch of `samples` draws spans more than one executor block.
+bool SpansBlocks(size_t samples) {
+  return samples > CoverExecutor::kBlockSamples;
+}
 
 struct Data {
   std::vector<double> keys;
@@ -62,8 +69,8 @@ std::vector<PositionQuery> MakePositionQueries(size_t n, size_t count,
   return queries;
 }
 
-// Runs the sampler's parallel QueryPositionsBatch at `num_threads` from a
-// fresh fixed-seed rng and returns the flat output.
+// Runs the sampler's QueryPositionsBatch at `num_threads` from a fresh
+// fixed-seed rng and returns the flat output.
 std::vector<size_t> RunParallel(const RangeSampler& sampler,
                                 std::span<const PositionQuery> queries,
                                 size_t num_threads) {
@@ -86,7 +93,7 @@ std::unique_ptr<RangeSampler> MakeSampler(int kind, const Data& data) {
       return std::make_unique<AugRangeSampler>(data.keys, data.weights);
     case 2:
       return std::make_unique<ChunkedRangeSampler>(data.keys, data.weights);
-    case 3:  // exercises the base-class generic parallel fallback
+    case 3:  // exercises the base-class generic path
       return std::make_unique<NaiveRangeSampler>(data.keys, data.weights);
   }
   return nullptr;
@@ -97,10 +104,11 @@ TEST_P(ParallelInvariance, OutputIsBitIdenticalAcrossThreadCounts) {
   const auto sampler = MakeSampler(GetParam(), data);
   const auto queries = MakePositionQueries(2000, 60, 40, 11);
 
-  const std::vector<size_t> reference = RunParallel(*sampler, queries, 1);
+  const std::vector<size_t> reference = RunParallel(*sampler, queries, 0);
   size_t total = 0;
   for (const PositionQuery& q : queries) total += q.s;
   ASSERT_EQ(reference.size(), total);
+  ASSERT_TRUE(SpansBlocks(total));
   for (size_t num_threads : kThreadCounts) {
     EXPECT_EQ(RunParallel(*sampler, queries, num_threads), reference)
         << sampler->name() << " with " << num_threads << " threads";
@@ -136,11 +144,12 @@ TEST_P(ParallelInvariance, ParallelModeDrawsTheRightLaw) {
 }
 
 TEST_P(ParallelInvariance, RepeatedBatchesAreIndependent) {
-  // The parallel path must advance the caller's rng: serving the same
-  // batch twice from one stream has to give different draws.
+  // A pooled batch must advance the caller's rng: serving the same batch
+  // twice from one stream has to give different draws.
   const Data data = MakeData(500, 3);
   const auto sampler = MakeSampler(GetParam(), data);
   std::vector<PositionQuery> queries(4, PositionQuery{0, 499, 500});
+  ASSERT_TRUE(SpansBlocks(4 * 500));
   Rng rng(1);
   ScratchArena arena;
   BatchOptions opts;
@@ -175,6 +184,7 @@ TEST(ParallelQueryBatchTest, ResultLayoutMatchesSequentialContract) {
   sampler.QueryBatch(queries, &rng, &arena, opts, &parallel_result);
 
   ASSERT_EQ(parallel_result.num_queries(), queries.size());
+  ASSERT_TRUE(SpansBlocks(parallel_result.positions.size()));
   EXPECT_EQ(parallel_result.resolved.back(), 0);
   EXPECT_TRUE(parallel_result.SamplesFor(queries.size() - 1).empty());
   for (size_t i = 0; i + 1 < queries.size(); ++i) {
@@ -208,7 +218,7 @@ TEST(ParallelRangeTree2DTest, BitIdenticalAcrossThreadCounts) {
     const double x0 = qrng.NextDouble() * 0.8;
     const double y0 = qrng.NextDouble() * 0.8;
     queries.push_back(
-        {multidim::Rect{x0, x0 + 0.2, y0, y0 + 0.2}, 32});
+        {multidim::Rect{x0, x0 + 0.2, y0, y0 + 0.2}, 64});
   }
 
   auto run = [&](size_t num_threads) {
@@ -226,6 +236,7 @@ TEST(ParallelRangeTree2DTest, BitIdenticalAcrossThreadCounts) {
     return flat;
   };
   const auto reference = run(1);
+  ASSERT_TRUE(SpansBlocks(reference.size() / 2));
   for (size_t num_threads : kThreadCounts) {
     EXPECT_EQ(run(num_threads), reference) << num_threads << " threads";
   }
@@ -254,7 +265,7 @@ TEST(ParallelRangeTreeNdTest, BitIdenticalAcrossThreadCounts) {
       box.bounds[2 * d] = lo;
       box.bounds[2 * d + 1] = lo + 0.4;
     }
-    queries.push_back({box, 24});
+    queries.push_back({box, 96});
   }
 
   auto run = [&](size_t num_threads) {
@@ -267,6 +278,7 @@ TEST(ParallelRangeTreeNdTest, BitIdenticalAcrossThreadCounts) {
     return result.positions;
   };
   const auto reference = run(1);
+  ASSERT_TRUE(SpansBlocks(reference.size()));
   for (size_t num_threads : kThreadCounts) {
     EXPECT_EQ(run(num_threads), reference) << num_threads << " threads";
   }
@@ -289,7 +301,7 @@ TEST(ParallelKdQuadTest, BitIdenticalAcrossThreadCounts) {
   for (int i = 0; i < 30; ++i) {
     const double x0 = qrng.NextDouble() * 0.7;
     const double y0 = qrng.NextDouble() * 0.7;
-    queries.push_back({multidim::Rect{x0, x0 + 0.3, y0, y0 + 0.3}, 20});
+    queries.push_back({multidim::Rect{x0, x0 + 0.3, y0, y0 + 0.3}, 80});
   }
 
   auto run = [&](const auto& sampler, size_t num_threads) {
@@ -308,6 +320,8 @@ TEST(ParallelKdQuadTest, BitIdenticalAcrossThreadCounts) {
   };
   const auto kd_ref = run(kd, 1);
   const auto quad_ref = run(quad, 1);
+  ASSERT_TRUE(SpansBlocks(kd_ref.size() / 2));
+  ASSERT_TRUE(SpansBlocks(quad_ref.size() / 2));
   for (size_t num_threads : kThreadCounts) {
     EXPECT_EQ(run(kd, num_threads), kd_ref) << "kd " << num_threads;
     EXPECT_EQ(run(quad, num_threads), quad_ref) << "quad " << num_threads;
@@ -333,7 +347,7 @@ TEST(ParallelSubtreeTest, BitIdenticalAcrossThreadCounts) {
   std::vector<SubtreeBatchQuery> queries;
   Rng qrng(9);
   for (int i = 0; i < 50; ++i) {
-    queries.push_back({nodes[qrng.Below(nodes.size())], 16});
+    queries.push_back({nodes[qrng.Below(nodes.size())], 64});
   }
 
   auto run = [&](size_t num_threads) {
@@ -346,6 +360,7 @@ TEST(ParallelSubtreeTest, BitIdenticalAcrossThreadCounts) {
     return result.positions;
   };
   const auto reference = run(1);
+  ASSERT_TRUE(SpansBlocks(reference.size()));
   for (size_t num_threads : kThreadCounts) {
     EXPECT_EQ(run(num_threads), reference) << num_threads << " threads";
   }
@@ -427,6 +442,7 @@ TEST(ParallelTelemetryTest, SinkDoesNotPerturbOutputAcrossThreadCounts) {
     return out;
   };
   const std::vector<size_t> reference = run(1, nullptr);
+  ASSERT_TRUE(SpansBlocks(reference.size()));
   for (size_t num_threads : kThreadCounts) {
     TelemetrySink sink;
     EXPECT_EQ(run(num_threads, &sink), reference)
@@ -460,6 +476,7 @@ TEST(ParallelTelemetryTest, MergedCountersInvariantAcrossThreadCounts) {
   };
   const QueryStats reference = merged(1);
   EXPECT_EQ(reference.queries, queries.size());
+  ASSERT_TRUE(SpansBlocks(reference.samples_emitted));
   for (size_t num_threads : kThreadCounts) {
     const QueryStats stats = merged(num_threads);
     EXPECT_EQ(stats.queries, reference.queries) << num_threads;

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "iqs/cover/cover_executor.h"
 #include "iqs/join/join_sampler.h"
 #include "iqs/multidim/point.h"
 #include "iqs/range/chunked_range_sampler.h"
@@ -183,13 +184,13 @@ struct RunOutput {
 };
 
 // Submits `waves` waves of `wave_size` (<= options.max_batch) workload-0
-// queries from one producer, each queued while the worker is parked in a
+// queries of base_s..base_s+6 samples each from one producer, each queued while the worker is parked in a
 // gate batch (workload 1) and waited out before the next, so workload 0's
 // batch boundaries are pinned to [0,W), [W,2W), ... regardless of
 // scheduling.
 RunOutput RunPinnedWaves(const ServeOptions& options,
                          const ChunkedRangeSampler& sampler, size_t waves,
-                         size_t wave_size) {
+                         size_t wave_size, size_t base_s = 1) {
   GatedBackend gate;
   RangeServeFrontend frontend(options,
                               {PositionBackend(&sampler), gate.Wrap(&sampler)});
@@ -205,7 +206,7 @@ RunOutput RunPinnedWaves(const ServeOptions& options,
         tickets[i]->Reset();
         const double lo = query_rng.NextDouble() * 48.0;
         const double hi = lo + query_rng.NextDouble() * 16.0;
-        const size_t s = 1 + (query_rng.Next64() % 7);
+        const size_t s = base_s + (query_rng.Next64() % 7);
         EXPECT_TRUE(
             frontend.Submit(0, BatchQuery{lo, hi, s}, tickets[i].get()));
       }
@@ -224,17 +225,21 @@ TEST(ServeFrontendTest, DeterministicAcrossInnerThreadCounts) {
   const std::vector<double> weights = MakeWeights(64, 3);
   const ChunkedRangeSampler sampler(keys, weights);
 
+  // 16 queries of >= 96 samples: every flush spans more than one
+  // executor block, so the block substreams are what is compared.
+  static_assert(16 * 96 > CoverExecutor::kBlockSamples);
   std::vector<RunOutput> runs;
-  for (size_t num_threads : {1u, 2u, 7u}) {
+  for (size_t num_threads : {0u, 1u, 2u, 7u}) {
     ServeOptions options;
     options.max_batch = 16;
     options.seed = 4242;
     options.batch.num_threads = num_threads;
-    runs.push_back(
-        RunPinnedWaves(options, sampler, /*waves=*/4, /*wave_size=*/16));
+    runs.push_back(RunPinnedWaves(options, sampler, /*waves=*/4,
+                                  /*wave_size=*/16, /*base_s=*/96));
   }
   EXPECT_EQ(runs[0], runs[1]);
   EXPECT_EQ(runs[0], runs[2]);
+  EXPECT_EQ(runs[0], runs[3]);
   // And the output is not vacuously empty.
   size_t total = 0;
   for (const std::vector<size_t>& s : runs[0].samples) total += s.size();
@@ -884,7 +889,7 @@ TEST(ServeFrontendTest, WorkloadRoutingRoutesClassesToTheirBackends) {
 RunOutput RunRoutedPinnedWaves(const ServeOptions& options,
                                const ChunkedRangeSampler& sampler_a,
                                const ChunkedRangeSampler& sampler_b,
-                               size_t waves) {
+                               size_t waves, size_t base_s) {
   GatedBackend gate;
   RangeServeFrontend frontend(
       options, {PositionBackend(&sampler_a), PositionBackend(&sampler_b),
@@ -901,7 +906,7 @@ RunOutput RunRoutedPinnedWaves(const ServeOptions& options,
         tickets[i]->Reset();
         const double lo = query_rng.NextDouble() * 48.0;
         const double hi = lo + query_rng.NextDouble() * 16.0;
-        const size_t s = 1 + (query_rng.Next64() % 7);
+        const size_t s = base_s + (query_rng.Next64() % 7);
         EXPECT_TRUE(frontend.Submit(0, i % 2, BatchQuery{lo, hi, s},
                                     tickets[i].get()));
       }
@@ -923,17 +928,21 @@ TEST(ServeFrontendTest, RoutedFlushesDeterministicAcrossInnerThreadCounts) {
   // Per-class determinism: with routing in the path, flushed output must
   // still be byte-identical across inner thread counts (each class's
   // stream is a function of its own batch boundaries alone).
+  // Each class gets 8 queries of >= 160 samples per flush: more than one
+  // executor block.
+  static_assert(8 * 160 > CoverExecutor::kBlockSamples);
   std::vector<RunOutput> runs;
-  for (size_t num_threads : {1u, 2u, 7u}) {
+  for (size_t num_threads : {0u, 1u, 2u, 7u}) {
     ServeOptions options;
     options.max_batch = 16;
     options.seed = 2718;
     options.batch.num_threads = num_threads;
-    runs.push_back(
-        RunRoutedPinnedWaves(options, sampler_a, sampler_b, /*waves=*/4));
+    runs.push_back(RunRoutedPinnedWaves(options, sampler_a, sampler_b,
+                                        /*waves=*/4, /*base_s=*/160));
   }
   EXPECT_EQ(runs[0], runs[1]);
   EXPECT_EQ(runs[0], runs[2]);
+  EXPECT_EQ(runs[0], runs[3]);
   size_t total = 0;
   for (const std::vector<size_t>& s : runs[0].samples) total += s.size();
   EXPECT_GT(total, 0u);

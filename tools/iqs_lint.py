@@ -276,9 +276,12 @@ PARAM_CLASS_RES = (
     (re.compile(r"\bScratchArena\s*\*"), 2, "ScratchArena*"),
     (re.compile(r"\bBatchOptions\b"), 3, "BatchOptions"),
     # Outputs: *BatchResult* / *Result* pointers, vector-of-samples
-    # pointers, or a pointer param named out/result.
+    # pointers, a pointer param named out/result, or a mutable span named
+    # out (the caller-sized output of the span-based batch hooks).
     (re.compile(r"\w*Result\s*\*|\bstd::vector\s*<[^;]*>\s*\*"
-                r"|\*\s*(out|result)\b"), 4, "output*"),
+                r"|\*\s*(out|result)\b"
+                r"|\bstd::span\s*<\s*(?!const\b)[^;]*>\s*out\b"), 4,
+     "output*"),
 )
 
 
